@@ -19,10 +19,8 @@ from .meb import approx_meb_center, enclosing_radius, exact_meb_oracle, meb_iter
 from .metrics import f1
 from .multiclass import ClassSpec, peel
 from .recognition import (
-    TreeNode,
     boost_forest,
     boost_sequential,
-    expand_node,
     grow_tree,
     make_node_rng,
     recognize,
@@ -47,14 +45,12 @@ __all__ = [
     "Params",
     "RecognitionResult",
     "SpecInfeasibleError",
-    "TreeNode",
     "approx_meb_center",
     "boost_forest",
     "boost_sequential",
     "derive_params",
     "enclosing_radius",
     "exact_meb_oracle",
-    "expand_node",
     "f1",
     "gen_highdim",
     "gen_multiclass",

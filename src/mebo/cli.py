@@ -137,7 +137,8 @@ def _add_model_flags(sp, gamma_required=True, gamma_default=None,
                     help="sequential re-rooting rounds after the forest")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--threads", type=int, default=1,
-                    help="worker threads (results are identical to serial)")
+                    help="accepted for compatibility, no effect; BLAS is the only "
+                         "parallel layer (e.g. OPENBLAS_NUM_THREADS)")
 
 
 def _params_from(args) -> Params:
@@ -303,6 +304,15 @@ def cmd_eval(args) -> int:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _Fail(1, f"{args.result}: bad JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise _Fail(1, f"{args.result}: expected a JSON object at the top level")
+    if "classes" in doc:
+        classes = doc["classes"]
+        if not isinstance(classes, list) or not classes:
+            raise _Fail(1, f'{args.result}: "classes" must be a nonempty list')
+        for j, rec in enumerate(classes, 1):
+            if not isinstance(rec, dict) or "inliers" not in rec:
+                raise _Fail(1, f'{args.result}: class {j} has no "inliers" list')
     labels = _load_labels(args.labels)
     n = labels.shape[0]
     if "classes" in doc:

@@ -209,15 +209,13 @@ class Candidate:
     path holds dataset row indices along the root-to-node path; a tree
     rooted at a virtual (non-dataset) point contributes no index for
     that root.  score is the total variance of the node's m nearest
-    points.  inliers is filled lazily: tree growth leaves it None to
-    avoid storing an m-sized set per node, and the winning candidate is
-    re-materialized when a result is assembled.
+    points; the winner's inliers are re-derived when a result is
+    assembled, so no per-node set is stored.
     """
 
     center: np.ndarray
     path: tuple
     score: float
-    inliers: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)

@@ -39,25 +39,16 @@ def approx_meb_center(points, iters: int) -> np.ndarray:
 
     Starts at the first point in the given order (deterministic) and
     applies c <- c + (q - c)/(t+1) with q the farthest point from c,
-    ties broken by lowest row index.  Returns c_iters.
+    ties broken by lowest row index.  Returns c_iters, a copy of the
+    last row of meb_iterates (a view would keep every row alive).
     """
-    pts = _check_points(points)
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-    c = pts[0].copy()
-    for t in range(1, iters):
-        diff = pts - c
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        q = int(np.argmax(d2))
-        c += (pts[q] - c) / (t + 1.0)
-    return c
+    return meb_iterates(points, iters)[-1].copy()
 
 
 def meb_iterates(points, iters: int) -> np.ndarray:
     """All centers c_1..c_iters of the recurrence, stacked row-wise.
 
-    Diagnostic companion to approx_meb_center; row t-1 equals
-    approx_meb_center(points, t) exactly.
+    Row t-1 equals approx_meb_center(points, t) exactly.
     """
     pts = _check_points(points)
     if iters < 1:

@@ -6,6 +6,11 @@ farthest from that center, so paths chase whatever the current center
 fails to cover.  Every node contributes one candidate; the candidate
 whose m nearest points have the smallest total variance wins.
 
+One loop grows every fit: a tree per dataset root, then sequential
+rounds that re-root at the best center so far.  recognize,
+boost_forest, boost_sequential and grow_tree differ only in the roots
+and the number of rounds they hand it.
+
 Scoring one node costs O(n*d): squared distances come from the shared
 expanded-form routine (one matrix-vector product), the very computation
 the public selection ops run, so a node's split and top_k_farthest
@@ -15,19 +20,18 @@ ties their distances, and any second distance formula would break the
 tie differently.  An introselect splits the distances at position m and
 only the smaller side of the split is gathered to accumulate the inlier
 sums; the other side follows from precomputed totals.  Pivot-distance
-ties are detected by an exact strict-less count and resolved with the
-public rule (lower index enters the top-k set).
+ties are detected by an exact strict-less count and resolved by the
+selection module's tie rule (lower index enters the top-k set).
 
 Randomness: every node owns a stream keyed by (tree id, shifted path),
-spawned from the user seed.  Growth is breadth first; a layer's nodes
-are scored independently and children are drawn from per-node streams,
-so worker threads change wall time only, never output.
+spawned from the user seed, so results depend on the input and the seed
+only.  Growth is breadth first; a layer's nodes are all scored before
+its children are drawn.  The `threads` arguments are accepted for
+compatibility and have no effect: numpy's BLAS is the only parallel
+layer (size it with e.g. OPENBLAS_NUM_THREADS).
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,12 +46,15 @@ from .core import (
     derive_params,
 )
 from .meb import approx_meb_center
-from .selection import expanded_sq_dists, k_smallest_distance, top_k_farthest
+from .selection import (
+    expanded_sq_dists,
+    k_smallest_distance,
+    top_k_at_pivot,
+    top_k_farthest,
+)
 
 __all__ = [
-    "TreeNode",
     "make_node_rng",
-    "expand_node",
     "grow_tree",
     "score_candidate",
     "boost_forest",
@@ -57,19 +64,6 @@ __all__ = [
 
 # stream id for root selection; node streams start with a small tree id
 _DRIVER_KEY = 0xFFFFFFFF
-
-# nodes handed to a worker thread per task
-_GROUP = 64
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    """One tree node: its path, depth, attached center, and rng identity."""
-
-    path: tuple
-    depth: int
-    center: np.ndarray
-    rng_stream: tuple
 
 
 def make_node_rng(seed: int, rng_stream: tuple) -> np.random.Generator:
@@ -87,9 +81,10 @@ def node_stream_key(tree_id: int, path) -> tuple:
     return (tree_id,) + tuple(int(i) + 1 for i in path)
 
 
-def _driver_rng(seed: int) -> np.random.Generator:
+def _random_roots(seed: int, n: int, size: int) -> np.ndarray:
+    """size distinct dataset rows drawn from the root-selection stream."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(_DRIVER_KEY,))
-    return np.random.default_rng(ss)
+    return np.random.default_rng(ss).choice(n, size=size, replace=False)
 
 
 class _FitContext:
@@ -97,43 +92,11 @@ class _FitContext:
 
     def __init__(self, ds: Dataset):
         X = ds.points
-        self.ds = ds
         self.X = X
-        self.n, self.d = X.shape
+        self.n = X.shape[0]
         self.sqn = np.einsum("ij,ij->i", X, X)
         self.Sx = X.sum(axis=0)
         self.S_sqn = float(self.sqn.sum())
-        self._ext = X  # extended with virtual root rows on demand
-
-    def add_virtual(self, point: np.ndarray) -> int:
-        idx = self._ext.shape[0]
-        self._ext = np.vstack([self._ext, point[None, :]])
-        return idx
-
-    def path_points(self, path: np.ndarray) -> np.ndarray:
-        return self._ext[path]
-
-
-def _exact_split(ctx: _FitContext, d2s: np.ndarray, pivot: float, k: int):
-    """Split one distance row exactly under the documented tie rule.
-
-    Top-k takes strictly greater distances, then fills with pivot-tied
-    indices lowest first; inliers are the complement.  Returns the
-    inlier coordinate sum, the inlier squared-distance sum, and the
-    top-k index set.
-    """
-    above = np.flatnonzero(d2s > pivot)
-    need = k - above.shape[0]
-    if need > 0:
-        tied = np.flatnonzero(d2s == pivot)[:need]
-        top = np.concatenate([above, tied])
-    else:
-        top = above
-    mask = np.ones(ctx.n, dtype=bool)
-    mask[top] = False
-    in_idx = np.flatnonzero(mask)
-    s1 = ctx.X[in_idx].sum(axis=0)
-    return s1, float(d2s[in_idx].sum()), top
 
 
 def _node_eval(ctx: _FitContext, c: np.ndarray, k: int, m: int, want_topk: bool):
@@ -153,7 +116,12 @@ def _node_eval(ctx: _FitContext, c: np.ndarray, k: int, m: int, want_topk: bool)
         pivot = float(d2s[idx[m]])
         nless = int((d2s < pivot).sum())
         if nless != m:  # pivot value straddles the split
-            s1, sum_d2, topk = _exact_split(ctx, d2s, pivot, k)
+            topk = top_k_at_pivot(d2s, pivot, k)
+            mask = np.ones(ctx.n, dtype=bool)
+            mask[topk] = False
+            inl = np.flatnonzero(mask)
+            s1 = ctx.X[inl].sum(axis=0)
+            sum_d2 = float(d2s[inl].sum())
         elif m <= k:
             inl = idx[:m]
             s1 = ctx.X[inl].sum(axis=0)
@@ -173,32 +141,24 @@ def _node_eval(ctx: _FitContext, c: np.ndarray, k: int, m: int, want_topk: bool)
     return (score if score > 0.0 else 0.0), topk
 
 
-def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root, tree_id: int,
-          executor) -> list:
-    """Grow one tree breadth first; every node becomes a Candidate."""
-    n = ctx.n
-    iters = p.meb_iter_count
-    if isinstance(root, (int, np.integer)):
-        aug_root = int(root)
-    else:
-        aug_root = ctx.add_virtual(np.asarray(root, dtype=np.float64))
-    layer = [np.array([aug_root], dtype=np.int64)]
+def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, tree_id: int,
+          head: np.ndarray | None = None) -> list:
+    """Grow one tree breadth first; every node becomes a Candidate.
+
+    root is a dataset row, or a row number >= n standing for the virtual
+    point head.  A virtual root leads every path's points in the ball
+    computation but never appears among reported path indices.
+    """
+    n, X = ctx.n, ctx.X
+    layer = [np.array([root], dtype=np.int64)]
     candidates = []
     for depth in range(1, dp.h + 1):
         internal = depth < dp.h and dp.k > 0
-
-        def eval_group(paths):
-            out = []
-            for path in paths:
-                c = approx_meb_center(ctx.path_points(path), iters)
-                out.append((c,) + _node_eval(ctx, c, dp.k, dp.m, internal))
-            return out
-
-        groups = [layer[j:j + _GROUP] for j in range(0, len(layer), _GROUP)]
-        if executor is not None and len(groups) > 1:
-            evals = [e for grp in executor.map(eval_group, groups) for e in grp]
-        else:
-            evals = eval_group(layer)
+        evals = []
+        for path in layer:
+            pts = X[path] if head is None else np.vstack([head, X[path[1:]]])
+            c = approx_meb_center(pts, p.meb_iter_count)
+            evals.append((c,) + _node_eval(ctx, c, dp.k, dp.m, internal))
 
         next_layer = []
         for path, (c, score, topk) in zip(layer, evals):
@@ -223,30 +183,28 @@ def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root, tree_id: int,
     return candidates
 
 
-def expand_node(ds: Dataset, node: TreeNode, dp: DerivedParams,
-                rng: np.random.Generator, *, meb_iters: int = 1) -> list:
-    """Children of one node: sample s indices from its top-k set.
+def _best_index(candidates) -> int:
+    return min(range(len(candidates)), key=lambda i: candidates[i].score)
 
-    Indices already on the path are excluded so paths never repeat a
-    point; the sample size is capped by what remains.  Child centers
-    are recomputed over the extended path.
+
+def _drive(ds: Dataset, p: Params, dp: DerivedParams, roots, rounds: int,
+           first_tree: int = 0) -> list:
+    """All candidates of a fit: one tree per dataset root, then `rounds`
+    sequential rounds, each rooted at the best center found so far.
+
+    Tree ids count up from first_tree over the roots and then the
+    rounds.  Round j's virtual root is row n + j, a number that keys the
+    random streams of that round's nodes.
     """
-    if node.depth >= dp.h or dp.k == 0:
-        return []
-    topk, _ = top_k_farthest(ds, node.center, dp.k)
-    pool = np.setdiff1d(topk, np.asarray(node.path, dtype=np.int64))
-    take = min(dp.s, pool.shape[0])
-    if take == 0:
-        return []
-    chosen = rng.choice(pool, size=take, replace=False)
-    tree_id = node.rng_stream[0] if node.rng_stream else 0
-    children = []
-    for c_idx in chosen:
-        cpath = node.path + (int(c_idx),)
-        center = approx_meb_center(ds.points[np.array(cpath)], meb_iters)
-        children.append(TreeNode(path=cpath, depth=node.depth + 1, center=center,
-                                 rng_stream=node_stream_key(tree_id, cpath)))
-    return children
+    ctx = _FitContext(ds)
+    cands = []
+    for t, r in enumerate(roots):
+        cands.extend(_grow(ctx, p, dp, int(r), first_tree + t))
+    for j in range(rounds):
+        best = cands[_best_index(cands)]
+        cands.extend(_grow(ctx, p, dp, ctx.n + j, first_tree + len(roots) + j,
+                           best.center))
+    return cands
 
 
 def grow_tree(ds: Dataset, p: Params, root_index: int, *, tree_id: int = 0,
@@ -255,23 +213,7 @@ def grow_tree(ds: Dataset, p: Params, root_index: int, *, tree_id: int = 0,
     if not (0 <= root_index < ds.n):
         raise InvalidParamsError(f"root_index must be in [0, {ds.n}), got {root_index}")
     dp = derived if derived is not None else derive_params(p, ds.n)
-    ctx = _FitContext(ds)
-    with _executor(threads) as ex:
-        return _grow(ctx, p, dp, int(root_index), tree_id, ex)
-
-
-class _NullExecutor:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-def _executor(threads: int):
-    if threads and threads > 1:
-        return ThreadPoolExecutor(max_workers=threads)
-    return _NullExecutor()
+    return _drive(ds, p, dp, [root_index], 0, tree_id)
 
 
 def score_candidate(ds: Dataset, center, m: int):
@@ -304,19 +246,7 @@ def boost_forest(ds: Dataset, p: Params, *, threads: int = 1,
                  derived: DerivedParams | None = None) -> list:
     """Candidates of forest_size trees grown from distinct random roots."""
     dp = derived if derived is not None else derive_params(p, ds.n)
-    ctx = _FitContext(ds)
-    driver = _driver_rng(p.seed)
-    size = min(p.forest_size, ds.n)
-    roots = driver.choice(ds.n, size=size, replace=False)
-    out = []
-    with _executor(threads) as ex:
-        for t, r in enumerate(roots):
-            out.extend(_grow(ctx, p, dp, int(r), t, ex))
-    return out
-
-
-def _best_index(candidates) -> int:
-    return min(range(len(candidates)), key=lambda i: candidates[i].score)
+    return _drive(ds, p, dp, _random_roots(p.seed, ds.n, min(p.forest_size, ds.n)), 0)
 
 
 def boost_sequential(ds: Dataset, p: Params, rounds: int, *, threads: int = 1,
@@ -331,15 +261,7 @@ def boost_sequential(ds: Dataset, p: Params, rounds: int, *, threads: int = 1,
     if rounds < 1:
         raise InvalidParamsError(f"rounds must be >= 1, got {rounds}")
     dp = derived if derived is not None else derive_params(p, ds.n)
-    ctx = _FitContext(ds)
-    driver = _driver_rng(p.seed)
-    root0 = int(driver.choice(ds.n, size=1, replace=False)[0])
-    with _executor(threads) as ex:
-        out = _grow(ctx, p, dp, root0, 0, ex)
-        for j in range(1, rounds):
-            best = out[_best_index(out)]
-            out.extend(_grow(ctx, p, dp, best.center, j, ex))
-    return out
+    return _drive(ds, p, dp, _random_roots(p.seed, ds.n, 1), rounds - 1)
 
 
 def recognize(ds: Dataset, p: Params, *, threads: int = 1,
@@ -352,17 +274,8 @@ def recognize(ds: Dataset, p: Params, *, threads: int = 1,
     are re-derived with the public scoring op.
     """
     dp = derived if derived is not None else derive_params(p, ds.n)
-    ctx = _FitContext(ds)
-    driver = _driver_rng(p.seed)
-    size = min(p.forest_size, ds.n)
-    roots = driver.choice(ds.n, size=size, replace=False)
-    cands = []
-    with _executor(threads) as ex:
-        for t, r in enumerate(roots):
-            cands.extend(_grow(ctx, p, dp, int(r), t, ex))
-        for j in range(p.sequential_rounds):
-            best = cands[_best_index(cands)]
-            cands.extend(_grow(ctx, p, dp, best.center, size + j, ex))
+    roots = _random_roots(p.seed, ds.n, min(p.forest_size, ds.n))
+    cands = _drive(ds, p, dp, roots, p.sequential_rounds)
     winner = cands[_best_index(cands)]
     score, inliers = score_candidate(ds, winner.center, dp.m)
     radius = k_smallest_distance(ds, winner.center, dp.m)

@@ -4,7 +4,9 @@ top_k_farthest returns the k points farthest from a center in expected
 linear time via numpy's introselect partition (quickselect with a
 median-of-medians style fallback, so worst-case linear as well).
 Distances are compared squared; the reported pivot is the rooted
-distance.
+distance.  The tie rule (at equal distance the lower index enters the
+far set) is stated once, in top_k_at_pivot, which the tree-growth
+engine calls as well.
 
 Squared distances are computed in the expanded one-matvec form, by the
 single helper below.  Every consumer of these order statistics, the
@@ -38,25 +40,17 @@ def expanded_sq_dists(X: np.ndarray, sqn: np.ndarray, c: np.ndarray) -> np.ndarr
     return d2
 
 
-def _split_indices_desc(d2: np.ndarray, k: int) -> tuple[np.ndarray, float]:
-    """Indices of the k largest values of d2 plus the k-th largest value.
+def top_k_at_pivot(d2: np.ndarray, pivot: float, k: int) -> np.ndarray:
+    """The tie rule: the k indices of d2 above a pivot, ascending.
 
-    Ties at the pivot value admit the lowest indices first, so the
-    returned set is unique and deterministic.  Indices come back in
-    ascending order.
+    pivot must be the k-th largest value of d2.  Strictly greater values
+    all enter; the remaining slots go to pivot-tied indices, lowest
+    first, so the set is unique and deterministic.
     """
-    n = d2.shape[0]
-    if k == n:
-        return np.arange(n), float(d2.min())
-    # element at sorted position n-k is the k-th largest
-    part = np.partition(d2, n - k)
-    pivot = part[n - k]
-    above = np.flatnonzero(d2 > pivot)
-    need = k - above.shape[0]
-    if need > 0:
-        tied = np.flatnonzero(d2 == pivot)[:need]
-        above = np.union1d(above, tied)
-    return above, float(pivot)
+    far = d2 > pivot
+    need = k - int(np.count_nonzero(far))
+    far[np.flatnonzero(d2 == pivot)[:need]] = True
+    return np.flatnonzero(far)
 
 
 def top_k_farthest(ds: Dataset, center, k: int) -> tuple[np.ndarray, float]:
@@ -71,8 +65,9 @@ def top_k_farthest(ds: Dataset, center, k: int) -> tuple[np.ndarray, float]:
     c = np.asarray(center, dtype=np.float64)
     sqn = np.einsum("ij,ij->i", ds.points, ds.points)
     d2 = expanded_sq_dists(ds.points, sqn, c)
-    idx, pivot2 = _split_indices_desc(d2, k)
-    return idx, float(np.sqrt(max(pivot2, 0.0)))
+    # element at sorted position n-k is the k-th largest
+    pivot2 = np.partition(d2, ds.n - k)[ds.n - k]
+    return top_k_at_pivot(d2, pivot2, k), float(np.sqrt(max(pivot2, 0.0)))
 
 
 def k_smallest_distance(ds: Dataset, center, m: int) -> float:

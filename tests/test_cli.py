@@ -155,6 +155,18 @@ def test_eval_bad_json(tmp_path):
     assert "bad JSON" in r.stderr
 
 
+@pytest.mark.parametrize("doc", [{"classes": []}, [1, 2], {"classes": [{"size": 3}]}])
+def test_eval_malformed_result(tmp_path, doc):
+    bad = tmp_path / "r.json"
+    bad.write_text(json.dumps(doc))
+    labels = tmp_path / "l.csv"
+    np.savetxt(labels, np.ones(5, dtype=int), fmt="%d")
+    r = run("eval", str(bad), str(labels))
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"mebo: error: {bad}: ")
+    assert "Traceback" not in r.stderr
+
+
 # ------------------------------------------------------------ multifit
 
 

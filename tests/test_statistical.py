@@ -12,11 +12,9 @@ import numpy as np
 from mebo import (
     Dataset,
     Params,
-    TreeNode,
     boost_forest,
     boost_sequential,
     derive_params,
-    expand_node,
     f1,
     grow_tree,
     k_smallest_distance,
@@ -26,6 +24,7 @@ from mebo import (
 )
 from mebo.meb import exact_meb_oracle
 from mebo.synth import gen_highdim
+from tree_oracle import TreeNode, expand_node
 
 TRIALS = 200
 
