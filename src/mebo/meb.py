@@ -54,14 +54,16 @@ def meb_iterates(points, iters: int) -> np.ndarray:
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     out = np.empty((iters, pts.shape[1]))
-    c = pts[0].copy()
-    out[0] = c
+    c = out[0]
+    c[:] = pts[0]
     for t in range(1, iters):
         diff = pts - c
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        q = int(np.argmax(d2))
-        c += (pts[q] - c) / (t + 1.0)
-        out[t] = c
+        q = np.einsum("ij,ij->i", diff, diff).argmax()
+        nxt = out[t]
+        np.subtract(pts[q], c, out=nxt)
+        nxt /= t + 1.0
+        nxt += c  # c + (q - c)/(t+1), written in place in row t
+        c = nxt
     return out
 
 

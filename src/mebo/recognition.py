@@ -19,7 +19,8 @@ a one-step ball center lands exactly mid-way between two points, which
 ties their distances, and any second distance formula would break the
 tie differently.  An introselect splits the distances at position m and
 only the smaller side of the split is gathered to accumulate the inlier
-sums; the other side follows from precomputed totals.  Pivot-distance
+sums, in cache-sized blocks that give the one-piece sum's exact bits;
+the other side follows from precomputed totals.  Pivot-distance
 ties are detected by an exact strict-less count and resolved by the
 selection module's tie rule (lower index enters the top-k set).
 
@@ -99,6 +100,32 @@ class _FitContext:
         self.S_sqn = float(self.sqn.sum())
 
 
+# rows gathered per block by _row_sum: about 256 KB, so a block and its
+# running sum stay in cache instead of streaming a copy of X[rows]
+_BLOCK_BYTES = 1 << 18
+
+
+def _row_sum(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """X[rows].sum(axis=0), bit for bit, gathered a block at a time.
+
+    With two or more columns, numpy's axis-0 sum and einsum("ij->j")
+    both add the rows of a C-ordered block one after another, starting
+    from zero.  So folding the running total into the first row of the
+    next block repeats exactly the additions of the one-piece sum, and
+    einsum does them with less overhead per row.  A single column is
+    summed pairwise instead, so it is done in one piece.
+    """
+    if X.shape[1] < 2:
+        return X.take(rows, axis=0).sum(axis=0)
+    step = max(1, _BLOCK_BYTES // X[0].nbytes)
+    acc = np.einsum("ij->j", X.take(rows[:step], axis=0))
+    for start in range(step, rows.shape[0], step):
+        block = X.take(rows[start:start + step], axis=0)
+        block[0] += acc
+        acc = np.einsum("ij->j", block)
+    return acc
+
+
 def _node_eval(ctx: _FitContext, c: np.ndarray, k: int, m: int, want_topk: bool):
     """Score one center; optionally return its top-k index set.
 
@@ -114,23 +141,23 @@ def _node_eval(ctx: _FitContext, c: np.ndarray, k: int, m: int, want_topk: bool)
         d2s = expanded_sq_dists(ctx.X, ctx.sqn, c)
         idx = np.argpartition(d2s, m)
         pivot = float(d2s[idx[m]])
-        nless = int((d2s < pivot).sum())
+        nless = np.count_nonzero(d2s < pivot)
         if nless != m:  # pivot value straddles the split
             topk = top_k_at_pivot(d2s, pivot, k)
             mask = np.ones(ctx.n, dtype=bool)
             mask[topk] = False
             inl = np.flatnonzero(mask)
-            s1 = ctx.X[inl].sum(axis=0)
+            s1 = _row_sum(ctx.X, inl)
             sum_d2 = float(d2s[inl].sum())
         elif m <= k:
             inl = idx[:m]
-            s1 = ctx.X[inl].sum(axis=0)
+            s1 = _row_sum(ctx.X, inl)
             sum_d2 = float(d2s[inl].sum())
             if want_topk:
                 topk = idx[m:]
         else:
             out = idx[m:]
-            s1 = ctx.Sx - ctx.X[out].sum(axis=0)
+            s1 = ctx.Sx - _row_sum(ctx.X, out)
             total = ctx.S_sqn - 2.0 * float(ctx.Sx @ c) + ctx.n * cn
             sum_d2 = total - float(d2s[out].sum())
             if want_topk:
@@ -149,7 +176,7 @@ def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, tree_id: in
     point head.  A virtual root leads every path's points in the ball
     computation but never appears among reported path indices.
     """
-    n, X = ctx.n, ctx.X
+    n, X, iters = ctx.n, ctx.X, p.meb_iter_count
     layer = [np.array([root], dtype=np.int64)]
     candidates = []
     for depth in range(1, dp.h + 1):
@@ -157,12 +184,12 @@ def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, tree_id: in
         evals = []
         for path in layer:
             pts = X[path] if head is None else np.vstack([head, X[path[1:]]])
-            c = approx_meb_center(pts, p.meb_iter_count)
+            c = approx_meb_center(pts, iters)
             evals.append((c,) + _node_eval(ctx, c, dp.k, dp.m, internal))
 
         next_layer = []
         for path, (c, score, topk) in zip(layer, evals):
-            real = tuple(int(i) for i in path if i < n)
+            real = tuple(path[path < n].tolist())
             candidates.append(Candidate(center=c, path=real, score=score))
             if not internal:
                 continue

@@ -25,7 +25,7 @@ from mebo import (
     score_candidate,
     top_k_farthest,
 )
-from mebo.recognition import node_stream_key
+from mebo.recognition import _BLOCK_BYTES, _row_sum, node_stream_key
 from tree_oracle import TreeNode, expand_node
 
 
@@ -169,6 +169,19 @@ def test_tree_scores_match_public_op():
     for cand in cands[::17]:
         score, _ = score_candidate(ds, cand.center, dp.m)
         assert cand.score == pytest.approx(score, rel=1e-9, abs=1e-12)
+
+
+def test_row_sum_matches_one_piece_sum():
+    # the engine's blocked gather-sum must repeat X[rows].sum(axis=0) bit
+    # for bit, across block boundaries and in the pairwise 1-column case
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 7, 100):
+        step = _BLOCK_BYTES // (8 * d)
+        n = 2 * step + 17
+        X = rng.normal(size=(n, d)) * np.exp(4.0 * rng.normal(size=(n, 1)))
+        for size in (1, step, step + 1, n):
+            rows = rng.permutation(n)[:size]
+            assert np.array_equal(_row_sum(X, rows), X[rows].sum(axis=0))
 
 
 def test_grow_tree_root_validation():
