@@ -298,6 +298,14 @@ def _match_classes(result_classes, labels):
     return pairs, true_sets
 
 
+def _check_inliers(path: str, value, where: str) -> None:
+    """An "inliers" value must be a list of 64-bit integers (not bools or
+    floats); range against the labels is checked when F1 is computed."""
+    if not isinstance(value, list) or not all(
+            type(i) is int and -2**63 <= i < 2**63 for i in value):
+        raise _Fail(1, f'{path}: {where}"inliers" must be a list of integers')
+
+
 def cmd_eval(args) -> int:
     text = _read_text(args.result)
     try:
@@ -313,6 +321,9 @@ def cmd_eval(args) -> int:
         for j, rec in enumerate(classes, 1):
             if not isinstance(rec, dict) or "inliers" not in rec:
                 raise _Fail(1, f'{args.result}: class {j} has no "inliers" list')
+            _check_inliers(args.result, rec["inliers"], f"class {j}: ")
+    else:
+        _check_inliers(args.result, doc.get("inliers", []), "")
     labels = _load_labels(args.labels)
     n = labels.shape[0]
     if "classes" in doc:

@@ -11,23 +11,21 @@ rounds that re-root at the best center so far.  recognize,
 boost_forest, boost_sequential and grow_tree differ only in the roots
 and the number of rounds they hand it.
 
-Scoring one node costs O(n*d): squared distances come from the shared
-expanded-form routine (one matrix-vector product), the very computation
-the public selection ops run, so a node's split and top_k_farthest
-agree bit for bit even on tied data.  That matters more than it looks:
-a one-step ball center lands exactly mid-way between two points, which
-ties their distances, and any second distance formula would break the
-tie differently.  An introselect splits the distances at position m and
-only the smaller side of the split is gathered to accumulate the inlier
-sums, in cache-sized blocks that give the one-piece sum's exact bits;
-the other side follows from precomputed totals.  Pivot-distance
-ties are detected by an exact strict-less count and resolved by the
-selection module's tie rule (lower index enters the top-k set).
+Scoring costs O(n*d) per node.  A tree layer's centers are stacked
+and scored a chunk at a time: one GEMM gives the chunk's expanded
+squared distances, the selection module's split_far turns each row
+into its 0/1 split at the k farthest points, and one GEMM of those
+splits with X (and one with the squared norms) gives every center's
+inlier sums.  So X is streamed twice per chunk, not once per node.
+A node's split is the one top_k_farthest makes, by construction: both
+go through split_far, which places the few points that rounding of
+the expanded distance could move across the pivot by their direct
+distance and the tie rule (lower index enters the far set).
 
 Randomness: every node owns a stream keyed by (tree id, shifted path),
 spawned from the user seed, so results depend on the input and the seed
-only.  Growth is breadth first; a layer's nodes are all scored before
-its children are drawn.  The `threads` arguments are accepted for
+only, and not on the order in which nodes are scored.  Growth is
+breadth first.  The `threads` arguments are accepted for
 compatibility and have no effect: numpy's BLAS is the only parallel
 layer (size it with e.g. OPENBLAS_NUM_THREADS).
 """
@@ -50,7 +48,7 @@ from .meb import approx_meb_center
 from .selection import (
     expanded_sq_dists,
     k_smallest_distance,
-    top_k_at_pivot,
+    split_far,
     top_k_farthest,
 )
 
@@ -88,8 +86,17 @@ def _random_roots(seed: int, n: int, size: int) -> np.ndarray:
     return np.random.default_rng(ss).choice(n, size=size, replace=False)
 
 
+# A chunk of centers is scored in one distance block of at most 3 MiB,
+# and holds at most 8 centers per coordinate: on few coordinates a
+# bigger block saves no time, and BLAS would run its products on
+# threads that only add CPU time.
+_CHUNK_BYTES = 3 << 20
+_CHUNK_PER_DIM = 8
+
+
 class _FitContext:
-    """Per-run precomputed arrays shared by every tree of a run."""
+    """Per-run precomputed arrays shared by every tree of a run, and the
+    distance block every chunk of centers is scored in."""
 
     def __init__(self, ds: Dataset):
         X = ds.points
@@ -98,74 +105,30 @@ class _FitContext:
         self.sqn = np.einsum("ij,ij->i", X, X)
         self.Sx = X.sum(axis=0)
         self.S_sqn = float(self.sqn.sum())
+        rows = min(_CHUNK_BYTES // (8 * self.n), _CHUNK_PER_DIM * X.shape[1])
+        self.dists = np.empty((max(1, rows), self.n))
 
 
-# rows gathered per block by _row_sum: about 256 KB, so a block and its
-# running sum stay in cache instead of streaming a copy of X[rows]
-_BLOCK_BYTES = 1 << 18
+def _score_chunk(ctx: _FitContext, C: np.ndarray, k: int, m: int):
+    """Scores of the centers C (L x d) and, when k > 0, their 0/1 splits
+    (L x n, 0.0 at each center's k farthest points, written over ctx's
+    distance block).
 
-
-def _row_sum(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """X[rows].sum(axis=0), bit for bit, gathered a block at a time.
-
-    With two or more columns, numpy's axis-0 sum and einsum("ij->j")
-    both add the rows of a C-ordered block one after another, starting
-    from zero.  So folding the running total into the first row of the
-    next block repeats exactly the additions of the one-piece sum, and
-    einsum does them with less overhead per row.  A single column is
-    summed pairwise instead, so it is done in one piece.
+    The score is the total variance of the m points nearest to a center
+    c, from their sums s1 = sum x and q = sum |x|^2:
+    (q - 2 c.s1)/m + |c|^2 - |s1/m - c|^2.  One GEMM gives the chunk's
+    distances and one GEMM of its splits with X gives the sums.
     """
-    if X.shape[1] < 2:
-        return X.take(rows, axis=0).sum(axis=0)
-    step = max(1, _BLOCK_BYTES // X[0].nbytes)
-    acc = np.einsum("ij->j", X.take(rows[:step], axis=0))
-    for start in range(step, rows.shape[0], step):
-        block = X.take(rows[start:start + step], axis=0)
-        block[0] += acc
-        acc = np.einsum("ij->j", block)
-    return acc
-
-
-def _node_eval(ctx: _FitContext, c: np.ndarray, k: int, m: int, want_topk: bool):
-    """Score one center; optionally return its top-k index set.
-
-    The score is the total variance of the m points nearest to c,
-    obtained from the inlier sums via mean|x-c|^2 - |centroid - c|^2.
-    """
-    cn = float(c @ c)
-    topk = None
     if k == 0:
-        s1 = ctx.Sx
-        sum_d2 = ctx.S_sqn - 2.0 * float(ctx.Sx @ c) + ctx.n * cn
+        near, s1, q = None, np.broadcast_to(ctx.Sx, C.shape), ctx.S_sqn
     else:
-        d2s = expanded_sq_dists(ctx.X, ctx.sqn, c)
-        idx = np.argpartition(d2s, m)
-        pivot = float(d2s[idx[m]])
-        nless = np.count_nonzero(d2s < pivot)
-        if nless != m:  # pivot value straddles the split
-            topk = top_k_at_pivot(d2s, pivot, k)
-            mask = np.ones(ctx.n, dtype=bool)
-            mask[topk] = False
-            inl = np.flatnonzero(mask)
-            s1 = _row_sum(ctx.X, inl)
-            sum_d2 = float(d2s[inl].sum())
-        elif m <= k:
-            inl = idx[:m]
-            s1 = _row_sum(ctx.X, inl)
-            sum_d2 = float(d2s[inl].sum())
-            if want_topk:
-                topk = idx[m:]
-        else:
-            out = idx[m:]
-            s1 = ctx.Sx - _row_sum(ctx.X, out)
-            total = ctx.S_sqn - 2.0 * float(ctx.Sx @ c) + ctx.n * cn
-            sum_d2 = total - float(d2s[out].sum())
-            if want_topk:
-                topk = idx[m:]
-    cent = s1 / m
-    dd = cent - c
-    score = sum_d2 / m - float(dd @ dd)
-    return (score if score > 0.0 else 0.0), topk
+        E = expanded_sq_dists(ctx.X, ctx.sqn, C, out=ctx.dists[:C.shape[0]])
+        near = split_far(ctx.X, C, E, k)
+        s1, q = near @ ctx.X, near @ ctx.sqn
+    dd = s1 / m - C
+    scores = ((q - 2.0 * np.einsum("ij,ij->i", C, s1)) / m
+              + np.einsum("ij,ij->i", C, C) - np.einsum("ij,ij->i", dd, dd))
+    return np.where(scores > 0.0, scores, 0.0), near
 
 
 def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, tree_id: int,
@@ -174,37 +137,39 @@ def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, tree_id: in
 
     root is a dataset row, or a row number >= n standing for the virtual
     point head.  A virtual root leads every path's points in the ball
-    computation but never appears among reported path indices.
+    computation but never appears among reported path indices.  A
+    layer is scored a chunk of nodes at a time, and each node's
+    children are drawn from its own stream as soon as it is scored.
     """
     n, X, iters = ctx.n, ctx.X, p.meb_iter_count
+    step = ctx.dists.shape[0]
     layer = [np.array([root], dtype=np.int64)]
     candidates = []
     for depth in range(1, dp.h + 1):
         internal = depth < dp.h and dp.k > 0
-        evals = []
-        for path in layer:
-            pts = X[path] if head is None else np.vstack([head, X[path[1:]]])
-            c = approx_meb_center(pts, iters)
-            evals.append((c,) + _node_eval(ctx, c, dp.k, dp.m, internal))
-
         next_layer = []
-        for path, (c, score, topk) in zip(layer, evals):
-            real = tuple(path[path < n].tolist())
-            candidates.append(Candidate(center=c, path=real, score=score))
-            if not internal:
-                continue
-            pool_mask = np.zeros(n, dtype=bool)
-            pool_mask[topk] = True
-            pool_mask[path[path < n]] = False  # paths never repeat a point
-            pool = np.flatnonzero(pool_mask)
-            take = min(dp.s, pool.shape[0])
-            if take == 0:
-                continue
-            rng = make_node_rng(p.seed, node_stream_key(tree_id, path))
-            chosen = rng.choice(pool, size=take, replace=False)
-            for child in chosen:
-                next_layer.append(np.append(path, child))
-        if not internal or not next_layer:
+        for a in range(0, len(layer), step):
+            paths = layer[a:a + step]
+            C = np.array([approx_meb_center(X[path] if head is None
+                                            else np.vstack([head, X[path[1:]]]), iters)
+                          for path in paths])
+            scores, near = _score_chunk(ctx, C, dp.k, dp.m)
+            for i, path in enumerate(paths):
+                real = path[path < n]
+                candidates.append(Candidate(center=C[i], path=tuple(real.tolist()),
+                                            score=float(scores[i])))
+                if not internal:
+                    continue
+                far = near[i] == 0.0
+                far[real] = False  # paths never repeat a point
+                pool = np.flatnonzero(far)
+                take = min(dp.s, pool.shape[0])
+                if take == 0:
+                    continue
+                rng = make_node_rng(p.seed, node_stream_key(tree_id, path))
+                for child in rng.choice(pool, size=take, replace=False):
+                    next_layer.append(np.append(path, child))
+        if not next_layer:
             break
         layer = next_layer
     return candidates

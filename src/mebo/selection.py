@@ -1,20 +1,26 @@
 """Order statistics over point-to-center distances.
 
-top_k_farthest returns the k points farthest from a center in expected
-linear time via numpy's introselect partition (quickselect with a
-median-of-medians style fallback, so worst-case linear as well).
-Distances are compared squared; the reported pivot is the rooted
-distance.  The tie rule (at equal distance the lower index enters the
-far set) is stated once, in top_k_at_pivot, which the tree-growth
-engine calls as well.
+The distance of a point x to a center c is the direct squared distance
+((x - c) ** 2).sum().  The k points farthest from c are the k largest
+of these; at equal distance the lower index enters the far set.
+split_far states that rule once.  The public ops below and the
+tree-growth engine all split through it, for one center or for a
+block of L centers at a time.
 
-Squared distances are computed in the expanded one-matvec form, by the
-single helper below.  Every consumer of these order statistics, the
-tree-growth engine included, goes through the same expression, so a
-distance tie resolves identically everywhere.  Mixing the expanded and
-the direct (x - c)^2 forms is not safe: a center sitting exactly
-mid-way between two points ties them in one form and splits them by a
-few ulps in the other.
+The direct form costs a subtraction per coordinate, so split_far first
+orders the points by the expanded form |x|^2 - 2 x.c + |c|^2, which
+takes one GEMM for a whole block of centers (expanded_sq_dists).  An
+introselect (np.partition) finds each row's pivot p, its k-th largest
+expanded value.  The expanded value differs from the direct one by
+rounding alone.  For d coordinates that error is at most
+a*(2|x - c|^2 + 3|c|^2), with a = (3d + 6) units in the last place,
+since |x|^2 <= 2|x - c|^2 + 2|c|^2.  So a point whose expanded value is
+more than 8a*(|p| + |c|^2) from p falls on the same side of the split
+under both forms.  Only the points inside that band, almost always the
+pivot alone, are placed by their direct distance.  The split is thus
+the one the direct distances give, whatever the BLAS build, its thread
+count or the number of centers in a block, and however far the data
+lies from the origin.
 """
 
 from __future__ import annotations
@@ -25,32 +31,64 @@ from .core import Dataset
 
 __all__ = ["top_k_farthest", "k_smallest_distance"]
 
+def expanded_sq_dists(X: np.ndarray, sqn: np.ndarray, C: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances |x|^2 - 2 x.c + |c|^2 of every row of X to a
+    block of centers, from one matrix product.
 
-def expanded_sq_dists(X: np.ndarray, sqn: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Squared distances |x|^2 - 2 x.c + |c|^2 from one matrix-vector product.
-
-    sqn must be einsum("ij,ij->i", X, X); callers that loop over many
-    centers precompute it once.  Values can round a few ulps below zero
-    for points nearly coincident with c.
+    C is an L x d block; the result is L x n, written into out when it
+    is given.  sqn must be einsum("ij,ij->i", X, X); callers that score
+    many centers precompute it once.  Values can round a few ulps below
+    zero for points nearly coincident with a center.
     """
-    d2 = X @ c
-    d2 *= -2.0
-    d2 += sqn
-    d2 += float(c @ c)
-    return d2
+    E = np.matmul(C, X.T, out=out)
+    E *= -2.0
+    E += sqn
+    E += np.einsum("ij,ij->i", C, C)[:, None]
+    return E
 
 
-def top_k_at_pivot(d2: np.ndarray, pivot: float, k: int) -> np.ndarray:
-    """The tie rule: the k indices of d2 above a pivot, ascending.
+def direct_sq_dists(X: np.ndarray, rows: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The direct squared distances ((X[rows] - c) ** 2).sum(axis=1)."""
+    diff = X[rows]
+    diff -= c
+    return np.square(diff, out=diff).sum(axis=1)
 
-    pivot must be the k-th largest value of d2.  Strictly greater values
-    all enter; the remaining slots go to pivot-tied indices, lowest
-    first, so the set is unique and deterministic.
+
+def split_far(X: np.ndarray, C: np.ndarray, E: np.ndarray, k: int) -> np.ndarray:
+    """Split the points at each center's k farthest, under the tie rule.
+
+    E holds the expanded squared distances of the rows of X to the
+    centers C (L x n, from expanded_sq_dists).  It is overwritten with
+    the split and returned: 1.0 at each center's n - k nearest points,
+    0.0 at its k farthest.
     """
-    far = d2 > pivot
-    need = k - int(np.count_nonzero(far))
-    far[np.flatnonzero(d2 == pivot)[:need]] = True
-    return np.flatnonzero(far)
+    n = E.shape[1]
+    m = n - k
+    scratch = np.empty(n)
+    cn = np.einsum("ij,ij->i", C, C)
+    # the band's half width over |p| + |c|^2: 8a for a = (3d + 6) ulps
+    half = (12.0 * X.shape[1] + 24.0) * np.finfo(np.float64).eps
+    for i, e in enumerate(E):
+        np.copyto(scratch, e)
+        scratch.partition(m)
+        p = scratch[m]
+        w = half * (abs(p) + cn[i])
+        lo, hi = (p - w, p + w) if np.isfinite(w) else (-np.inf, np.inf)
+        # the pivot alone in its band: the split is at the pivot
+        if ((m == 0 or scratch[:m].max() < lo)
+                and (k == 1 or scratch[m + 1:].min() > hi)):
+            np.less(e, p, out=e)
+            continue
+        far = e > hi
+        band = np.flatnonzero(~((e < lo) | far))  # NaN from overflow too
+        d2 = direct_sq_dists(X, band, C[i])
+        # the tie rule: farthest first and, at equal distance, the lower
+        # index first (a stable sort of the ascending band indices)
+        take = band[np.argsort(-d2, kind="stable")[:k - np.count_nonzero(far)]]
+        np.logical_not(far, out=e)
+        e[take] = 0.0
+    return E
 
 
 def top_k_farthest(ds: Dataset, center, k: int) -> tuple[np.ndarray, float]:
@@ -62,20 +100,16 @@ def top_k_farthest(ds: Dataset, center, k: int) -> tuple[np.ndarray, float]:
     """
     if not (1 <= k <= ds.n):
         raise ValueError(f"k must be in [1, {ds.n}], got {k}")
-    c = np.asarray(center, dtype=np.float64)
-    sqn = np.einsum("ij,ij->i", ds.points, ds.points)
-    d2 = expanded_sq_dists(ds.points, sqn, c)
-    # element at sorted position n-k is the k-th largest
-    pivot2 = np.partition(d2, ds.n - k)[ds.n - k]
-    return top_k_at_pivot(d2, pivot2, k), float(np.sqrt(max(pivot2, 0.0)))
+    X = ds.points
+    C = np.asarray(center, dtype=np.float64).reshape(1, -1)
+    E = expanded_sq_dists(X, np.einsum("ij,ij->i", X, X), C)
+    far = np.flatnonzero(split_far(X, C, E, k)[0] == 0.0)
+    return far, float(np.sqrt(direct_sq_dists(X, far, C[0]).min()))
 
 
 def k_smallest_distance(ds: Dataset, center, m: int) -> float:
     """Distance from center to its m-th nearest dataset point."""
     if not (1 <= m <= ds.n):
         raise ValueError(f"m must be in [1, {ds.n}], got {m}")
-    c = np.asarray(center, dtype=np.float64)
-    sqn = np.einsum("ij,ij->i", ds.points, ds.points)
-    d2 = expanded_sq_dists(ds.points, sqn, c)
-    val = np.partition(d2, m - 1)[m - 1]
-    return float(np.sqrt(max(val, 0.0)))
+    # the m-th nearest is the (n - m + 1)-th farthest
+    return top_k_farthest(ds, center, ds.n - m + 1)[1]

@@ -91,6 +91,7 @@ def test_criterion_3_tiny_instance_recovery_rate():
     assert time.perf_counter() - t0 < 60.0
 
 
+@pytest.mark.slow
 def test_criterion_4_highdim_f1():
     t0 = time.perf_counter()
     for gamma, floor in ((0.1, 0.95), (0.5, 0.80)):
@@ -114,6 +115,7 @@ def test_criterion_5_toy2d_f1():
     assert time.perf_counter() - t0 < 120.0
 
 
+@pytest.mark.slow
 def test_criterion_6_multiclass_f1():
     t0 = time.perf_counter()
     for gamma in (0.1, 0.2, 0.3, 0.4):
@@ -147,6 +149,7 @@ def _bench_medians(argv, path):
     return [float(line.split(",")[3]) for line in lines[1:]]
 
 
+@pytest.mark.slow
 def test_criterion_7_bench_scaling(tmp_path):
     dims = _bench_medians(["bench", "--sizes", "10000",
                            "--dims", "25,50,100,200", "--runs", "5",

@@ -2,6 +2,7 @@
 exit codes and diagnostics on bad input."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -111,6 +112,27 @@ def test_fit_byte_identical_and_thread_invariant(tmp_path):
     assert out.read_text() == base.stdout
 
 
+def test_fit_byte_identical_at_any_blas_thread_count(tmp_path):
+    # the criterion-9 fixture, and a wider set whose distance GEMMs are
+    # big enough for OpenBLAS to split them over threads
+    small = tmp_path / "small.csv"
+    rng = np.random.default_rng(0)
+    X = np.vstack([rng.normal(size=(90, 3)),
+                   rng.normal(size=(30, 3)) * 2 + 15.0])
+    np.savetxt(small, X, fmt="%.10g", delimiter=",")
+    wide = tmp_path / "wide.csv"
+    write_planted(wide, n_in=1500, n_out=500, d=40, seed=3)
+    for argv in (["fit", str(small), "--gamma", "0.25", "--seed", "5"],
+                 ["fit", str(wide), "--gamma", "0.25", "--seed", "1",
+                  "--forest", "1", "--rounds", "1"]):
+        outs = []
+        for threads in ("1", "2"):
+            r = run(*argv, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+            assert r.returncode == 0
+            outs.append(r.stdout)
+        assert outs[0] == outs[1]
+
+
 def test_fit_epsilon_echo(tmp_path):
     pts = tmp_path / "p.csv"
     write_planted(pts)
@@ -155,7 +177,11 @@ def test_eval_bad_json(tmp_path):
     assert "bad JSON" in r.stderr
 
 
-@pytest.mark.parametrize("doc", [{"classes": []}, [1, 2], {"classes": [{"size": 3}]}])
+@pytest.mark.parametrize("doc", [
+    {"classes": []}, [1, 2], {"classes": [{"size": 3}]},
+    {"inliers": ["a"]}, {"inliers": [1.5]}, {"inliers": 3},
+    {"classes": [{"inliers": ["x"]}]}, {"inliers": [10**30]},
+])
 def test_eval_malformed_result(tmp_path, doc):
     bad = tmp_path / "r.json"
     bad.write_text(json.dumps(doc))

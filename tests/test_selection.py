@@ -45,6 +45,20 @@ def test_matches_sort_oracle_large():
         assert pivot == pytest.approx(opivot, rel=1e-12)
 
 
+def test_matches_sort_oracle_on_shifted_data():
+    # 1e7 from the origin the expanded form |x|^2 - 2x.c + |c|^2 rounds
+    # by about 0.03, more than the gaps between distances near the pivot;
+    # the split and the pivot must still be those of the direct form
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(200, 3)) + 1e7
+        c = X.mean(axis=0) + 0.1 * rng.normal(size=3)
+        idx, pivot = top_k_farthest(Dataset(X), c, 30)
+        oidx, opivot = sort_oracle(X, c, 30)
+        assert np.array_equal(idx, oidx)
+        assert pivot == opivot
+
+
 def test_tie_rule_lowest_index_first():
     # four points at equal distance, one farther, one nearer
     X = np.array([[2.0], [1.0], [-1.0], [1.0], [-1.0], [0.5]])
