@@ -61,7 +61,7 @@ def _scan_csv(path: str, text: str, cast):
         vals = []
         for j, cell in enumerate(cells):
             try:
-                vals.append(cast(cell))
+                vals.append(cast(cell.strip()))
             except ValueError:
                 raise _Fail(1, f"{path}: row {i + 1}, column {j + 1}: "
                                f"not a valid number: {cell.strip()!r}") from None
@@ -73,32 +73,26 @@ def _scan_csv(path: str, text: str, cast):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _Fail(2, f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise _Fail(1, f"{path}: not UTF-8 text") from None
 
 
-def _load_points(path: str) -> np.ndarray:
+def _load_csv(path: str, cell: type) -> np.ndarray:
+    """Points (cell float, one row per point) or labels (cell int, one
+    per row) from a headerless CSV."""
     text = _read_text(path)
     if not text.strip():
         # loadtxt quietly returns a 0-row array here, hiding the real problem
         raise _Fail(1, f"{path}: no data rows")
+    ndmin = 2 if cell is float else 1
     try:
-        return np.loadtxt(text.splitlines(), delimiter=",", ndmin=2)
+        return np.loadtxt(text.splitlines(), delimiter=",", dtype=cell, ndmin=ndmin)
     except ValueError:
-        return _scan_csv(path, text, float)
-
-
-def _load_labels(path: str) -> np.ndarray:
-    text = _read_text(path)
-    if not text.strip():
-        raise _Fail(1, f"{path}: no data rows")
-    try:
-        return np.loadtxt(text.splitlines(), delimiter=",", dtype=np.int64, ndmin=1)
-    except ValueError:
-        def cast(cell):
-            return int(cell.strip())
-        return _scan_csv(path, text, cast).ravel()
+        rows = _scan_csv(path, text, cell)
+        return rows if ndmin == 2 else rows.ravel()
 
 
 def _write_text(path, text: str):
@@ -142,12 +136,9 @@ def _add_model_flags(sp, gamma_required=True, gamma_default=None,
 
 
 def _params_from(args) -> Params:
-    try:
-        return Params(gamma=args.gamma, epsilon=args.epsilon, delta=args.delta,
-                      mu=args.mu, meb_iters=args.meb_iters, forest_size=args.forest,
-                      sequential_rounds=args.rounds, seed=args.seed)
-    except MeboError as exc:
-        raise _Fail(1, str(exc)) from None
+    return Params(gamma=args.gamma, epsilon=args.epsilon, delta=args.delta,
+                  mu=args.mu, meb_iters=args.meb_iters, forest_size=args.forest,
+                  sequential_rounds=args.rounds, seed=args.seed)
 
 
 def _echo(p: Params, n: int) -> dict:
@@ -165,19 +156,11 @@ def _echo(p: Params, n: int) -> dict:
     }
 
 
-def _parse_fractions(text: str) -> tuple:
+def _parse_list(text: str, cell: type, name: str) -> list:
     try:
-        fr = tuple(float(c) for c in text.split(","))
+        return [cell(c) for c in text.split(",")]
     except ValueError:
-        raise _Fail(1, f"bad fractions list: {text!r}") from None
-    return fr
-
-
-def _parse_int_list(text: str, flag: str) -> list:
-    try:
-        return [int(c) for c in text.split(",")]
-    except ValueError:
-        raise _Fail(1, f"bad {flag} list: {text!r}") from None
+        raise _Fail(1, f"bad {name} list: {text!r}") from None
 
 
 # ----------------------------------------------------------- commands
@@ -187,16 +170,10 @@ def cmd_gen(args) -> int:
     if args.kind == "toy2d":
         ds, labels = gen_toy_2d(args.seed)
     elif args.kind == "highdim":
-        try:
-            ds, labels = gen_highdim(args.n, args.d, args.gamma, args.seed)
-        except MeboError as exc:
-            raise _Fail(1, str(exc)) from None
+        ds, labels = gen_highdim(args.n, args.d, args.gamma, args.seed)
     else:
-        fr = _parse_fractions(args.fractions)
-        try:
-            ds, labels = gen_multiclass(args.n, args.d, fr, args.gamma, args.seed)
-        except MeboError as exc:
-            raise _Fail(1, str(exc)) from None
+        fr = _parse_list(args.fractions, float, "fractions")
+        ds, labels = gen_multiclass(args.n, args.d, fr, args.gamma, args.seed)
     out = Path(args.out)
     labels_path = out.with_name(out.stem + ".labels" + (out.suffix or ".csv"))
     try:
@@ -209,23 +186,17 @@ def cmd_gen(args) -> int:
 
 
 def _fit_common(args):
-    X = _load_points(args.points)
+    X = _load_csv(args.points, float)
     p = _params_from(args)
-    try:
-        ds = Dataset(X)
-        derive_params(p, ds.n)
-    except MeboError as exc:
-        raise _Fail(1, str(exc)) from None
+    ds = Dataset(X)
+    derive_params(p, ds.n)
     return ds, p
 
 
 def cmd_fit(args) -> int:
     ds, p = _fit_common(args)
     t0 = time.perf_counter()
-    try:
-        res = recognize(ds, p, threads=args.threads)
-    except MeboError as exc:
-        raise _Fail(1, str(exc)) from None
+    res = recognize(ds, p, threads=args.threads)
     millis = (time.perf_counter() - t0) * 1e3
     doc = {
         "center": [float(x) for x in res.ball.center],
@@ -242,16 +213,9 @@ def cmd_fit(args) -> int:
 
 def cmd_multifit(args) -> int:
     ds, p = _fit_common(args)
-    spec_fr = _parse_fractions(args.fractions)
-    try:
-        spec = ClassSpec(fractions=spec_fr)
-    except MeboError as exc:
-        raise _Fail(1, str(exc)) from None
+    spec = ClassSpec(fractions=_parse_list(args.fractions, float, "fractions"))
     t0 = time.perf_counter()
-    try:
-        fitted = peel(ds, spec, p, threads=args.threads)
-    except MeboError as exc:
-        raise _Fail(1, str(exc)) from None
+    fitted = peel(ds, spec, p, threads=args.threads)
     millis = (time.perf_counter() - t0) * 1e3
     classes = []
     for ball, covered in fitted:
@@ -324,7 +288,7 @@ def cmd_eval(args) -> int:
             _check_inliers(args.result, rec["inliers"], f"class {j}: ")
     else:
         _check_inliers(args.result, doc.get("inliers", []), "")
-    labels = _load_labels(args.labels)
+    labels = _load_csv(args.labels, int)
     n = labels.shape[0]
     if "classes" in doc:
         pairs, true_sets = _match_classes(doc["classes"], labels)
@@ -363,19 +327,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = _parse_int_list(args.sizes, "--sizes")
-    dims = _parse_int_list(args.dims, "--dims")
+    sizes = _parse_list(args.sizes, int, "--sizes")
+    dims = _parse_list(args.dims, int, "--dims")
     if args.runs < 1 or args.warmup < 0:
         raise _Fail(1, "--runs must be >= 1 and --warmup >= 0")
     p = _params_from(args)
     lines = ["n,d,runs,median_ms"]
     for n in sizes:
         for d in dims:
-            try:
-                ds, _ = gen_highdim(n, d, p.gamma, p.seed)
-                derive_params(p, ds.n)
-            except MeboError as exc:
-                raise _Fail(1, str(exc)) from None
+            ds, _ = gen_highdim(n, d, p.gamma, p.seed)
+            derive_params(p, ds.n)
             for _ in range(args.warmup):
                 recognize(ds, p, threads=args.threads)
             times = []

@@ -96,12 +96,8 @@ def exact_meb_oracle(points, limit: int = 14) -> Ball:
             f"exact oracle limited to {limit} points and 6 dims, got n={n}, d={d}"
         )
 
-    def covering_radius(center: np.ndarray) -> float:
-        diff = pts - center
-        return float(np.sqrt(np.einsum("ij,ij->i", diff, diff).max()))
-
     best_center = pts[0]
-    best_radius = covering_radius(best_center)
+    best_radius = enclosing_radius(pts, best_center)
     for size in range(2, min(n, d + 1) + 1):
         idx = np.array(list(combinations(range(n), size)))
         base = pts[idx[:, 0]]                     # (S, d)
@@ -120,7 +116,7 @@ def exact_meb_oracle(points, limit: int = 14) -> Ball:
         scale = np.maximum(rr.max(axis=1), 1e-30)
         ok = spread <= 1e-9 * scale
         for s_i in np.flatnonzero(ok):
-            r = covering_radius(centers[s_i])
+            r = enclosing_radius(pts, centers[s_i])
             if r < best_radius:
                 best_radius = r
                 best_center = centers[s_i]

@@ -25,12 +25,14 @@ distance and the tie rule (lower index enters the far set).
 Randomness: every node owns a stream keyed by (tree id, shifted path),
 spawned from the user seed, so results depend on the input and the seed
 only, and not on the order in which nodes are scored.  Growth is
-breadth first.  The `threads` arguments are accepted for
-compatibility and have no effect: numpy's BLAS is the only parallel
+breadth first.  recognize's `threads` argument is accepted for
+compatibility and has no effect: numpy's BLAS is the only parallel
 layer (size it with e.g. OPENBLAS_NUM_THREADS).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -100,13 +102,23 @@ class _FitContext:
 
     def __init__(self, ds: Dataset):
         X = ds.points
+        n, d = X.shape
+        # Every distance, inlier sum and score of a fit is at most
+        # 4*n*max|x|^2 in size, and |x|^2 <= d*max|x_i|^2.
+        limit = math.sqrt(np.finfo(np.float64).max / (4.0 * n * d))
+        big = max(float(X.max()), -float(X.min()))
+        if big > limit:
+            raise InvalidParamsError(
+                f"coordinates must be at most {limit:.6g} in absolute value for "
+                f"{n} points in {d} dimensions, or their sums of squares "
+                f"overflow; got {big:.6g}")
         self.X = X
-        self.n = X.shape[0]
+        self.n = n
         self.sqn = np.einsum("ij,ij->i", X, X)
         self.Sx = X.sum(axis=0)
         self.S_sqn = float(self.sqn.sum())
-        rows = min(_CHUNK_BYTES // (8 * self.n), _CHUNK_PER_DIM * X.shape[1])
-        self.dists = np.empty((max(1, rows), self.n))
+        rows = min(_CHUNK_BYTES // (8 * n), _CHUNK_PER_DIM * d)
+        self.dists = np.empty((max(1, rows), n))
 
 
 def _score_chunk(ctx: _FitContext, C: np.ndarray, k: int, m: int):
@@ -200,7 +212,7 @@ def _drive(ds: Dataset, p: Params, dp: DerivedParams, roots, rounds: int,
 
 
 def grow_tree(ds: Dataset, p: Params, root_index: int, *, tree_id: int = 0,
-              derived: DerivedParams | None = None, threads: int = 1) -> list:
+              derived: DerivedParams | None = None) -> list:
     """All candidates of one tree rooted at a dataset point."""
     if not (0 <= root_index < ds.n):
         raise InvalidParamsError(f"root_index must be in [0, {ds.n}), got {root_index}")
@@ -234,14 +246,14 @@ def score_candidate(ds: Dataset, center, m: int):
     return score, inliers
 
 
-def boost_forest(ds: Dataset, p: Params, *, threads: int = 1,
+def boost_forest(ds: Dataset, p: Params, *,
                  derived: DerivedParams | None = None) -> list:
     """Candidates of forest_size trees grown from distinct random roots."""
     dp = derived if derived is not None else derive_params(p, ds.n)
     return _drive(ds, p, dp, _random_roots(p.seed, ds.n, min(p.forest_size, ds.n)), 0)
 
 
-def boost_sequential(ds: Dataset, p: Params, rounds: int, *, threads: int = 1,
+def boost_sequential(ds: Dataset, p: Params, rounds: int, *,
                      derived: DerivedParams | None = None) -> list:
     """Sequential boosting: each round re-roots at the best center so far.
 

@@ -70,7 +70,7 @@ def test_gen_multiclass_bad_fractions(tmp_path):
     r = run("gen", "multiclass", "--n", "100", "--d", "4", "--gamma", "0.2",
             "--fractions", "0.5,0.5", "--out", str(tmp_path / "m.csv"))
     assert r.returncode == 1
-    assert "mebo: error" in r.stderr
+    assert r.stderr == "mebo: error: fractions plus gamma must equal 1, got 1.2\n"
 
 
 # ----------------------------------------------------------------- fit
@@ -242,7 +242,7 @@ def test_multifit_infeasible_fractions(tmp_path):
     write_planted(pts)
     r = run("multifit", str(pts), "--fractions", "0.6,0.6", "--gamma", "0.2")
     assert r.returncode == 1
-    assert "mebo: error" in r.stderr
+    assert r.stderr == "mebo: error: class fractions plus outlier ratio exceed 1: 1.4\n"
 
 
 # --------------------------------------------------------------- bench
@@ -275,7 +275,7 @@ def test_bad_gamma_exit_1(tmp_path):
     write_planted(pts)
     r = run("fit", str(pts), "--gamma", "1.5")
     assert r.returncode == 1
-    assert "mebo: error" in r.stderr
+    assert r.stderr == "mebo: error: gamma must be in [0, 1), got 1.5\n"
 
 
 def test_unknown_flag_exit_1(tmp_path):
@@ -315,4 +315,32 @@ def test_gamma_too_large_for_n(tmp_path):
     np.savetxt(pts, np.eye(4), fmt="%g", delimiter=",")
     r = run("fit", str(pts), "--gamma", "0.9")
     assert r.returncode == 1
-    assert "mebo: error" in r.stderr
+    assert r.stderr == ("mebo: error: (1+delta)*gamma = 1.035 must stay below 1, "
+                        "otherwise no inliers remain\n")
+
+
+def test_fit_overflowing_coordinates_exit_1(tmp_path):
+    # sums of squared norms of these points pass the float64 maximum
+    pts = tmp_path / "p.csv"
+    X = np.random.default_rng(0).normal(size=(50, 3)) * 1e155
+    np.savetxt(pts, X, fmt="%.10g", delimiter=",")
+    r = run("fit", str(pts), "--gamma", "0.2")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("mebo: error: coordinates must be at most ")
+
+
+@pytest.mark.parametrize("bad_arg", ["points", "result", "labels"])
+def test_non_utf8_file_exit_1(tmp_path, bad_arg):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe1\x00\n\x00")  # UTF-16 text with a byte-order mark
+    labels = tmp_path / "l.csv"
+    np.savetxt(labels, np.ones(5, dtype=int), fmt="%d")
+    result = tmp_path / "r.json"
+    result.write_text('{"inliers": [0, 1]}')
+    argv = {"points": ["fit", bad, "--gamma", "0.2"],
+            "result": ["eval", bad, labels],
+            "labels": ["eval", result, bad]}[bad_arg]
+    r = run(*map(str, argv))
+    assert r.returncode == 1
+    assert r.stderr == f"mebo: error: {bad}: not UTF-8 text\n"

@@ -12,9 +12,11 @@ import pytest
 
 from mebo import (
     Candidate,
+    ClassSpec,
     Dataset,
     DerivedParams,
     InvalidParamsError,
+    MeboError,
     Params,
     RecognitionResult,
     approx_meb_center,
@@ -23,6 +25,7 @@ from mebo import (
     derive_params,
     grow_tree,
     make_node_rng,
+    peel,
     recognize,
     score_candidate,
     top_k_farthest,
@@ -399,6 +402,19 @@ def test_recognize_tie_heavy_integer_data():
     res2 = recognize(ds, p, threads=3)
     assert np.array_equal(res1.inliers, res2.inliers)
     assert res1.score == res2.score
+
+
+def test_coordinates_whose_squares_overflow_rejected():
+    X = np.random.default_rng(0).normal(size=(50, 3))
+    p = Params(gamma=0.2, seed=0)
+    # a named error before any tree grows, not an infinite radius and score
+    with pytest.raises(MeboError, match="at most"):
+        recognize(Dataset(X * 1e155), p)
+    with pytest.raises(MeboError, match="at most"):
+        peel(Dataset(X * 1e155), ClassSpec(fractions=(0.4, 0.4)), p)
+    # inside the limit the fit keeps the inliers of the unscaled data
+    assert np.array_equal(recognize(Dataset(X * 1e150), p).inliers,
+                          recognize(Dataset(X), p).inliers)
 
 
 def test_candidate_inliers_lazy():
