@@ -82,17 +82,20 @@ def _read_text(path: str) -> str:
 
 def _load_csv(path: str, cell: type) -> np.ndarray:
     """Points (cell float, one row per point) or labels (cell int, one
-    per row) from a headerless CSV."""
+    column) from a headerless CSV."""
     text = _read_text(path)
     if not text.strip():
         # loadtxt quietly returns a 0-row array here, hiding the real problem
         raise _Fail(1, f"{path}: no data rows")
-    ndmin = 2 if cell is float else 1
     try:
-        return np.loadtxt(text.splitlines(), delimiter=",", dtype=cell, ndmin=ndmin)
+        rows = np.loadtxt(text.splitlines(), delimiter=",", dtype=cell, ndmin=2)
     except ValueError:
         rows = _scan_csv(path, text, cell)
-        return rows if ndmin == 2 else rows.ravel()
+    if cell is float:
+        return rows
+    if rows.shape[1] != 1:
+        raise _Fail(1, f"{path}: expected one label per row, got {rows.shape[1]} columns")
+    return rows[:, 0]
 
 
 def _write_text(path, text: str):

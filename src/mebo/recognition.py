@@ -11,16 +11,24 @@ rounds that re-root at the best center so far.  recognize,
 boost_forest, boost_sequential and grow_tree differ only in the roots
 and the number of rounds they hand it.
 
-Scoring costs O(n*d) per node.  A tree layer's centers are stacked
-and scored a chunk at a time: one GEMM gives the chunk's expanded
-squared distances, the selection module's split_far turns each row
-into its 0/1 split at the k farthest points, and one GEMM of those
-splits with X (and one with the squared norms) gives every center's
-inlier sums.  So X is streamed twice per chunk, not once per node.
-A node's split is the one top_k_farthest makes, by construction: both
-go through split_far, which places the few points that rounding of
-the expanded distance could move across the pivot by their direct
-distance and the tie rule (lower index enters the far set).
+A node's score and far set depend on its center alone, and most nodes
+repeat a center: a child whose new point is no farther from the root
+keeps its parent's center bit for bit.  So scoring costs O(n*d) per
+distinct center, and nodes with equal centers share one score, the
+first the fit computed for that center.  A tree layer's centers are
+computed first; the distinct ones the fit has not scored yet are
+stacked and scored a chunk at a time: one GEMM gives the chunk's
+expanded squared distances, the selection module's split_far turns
+each row into its 0/1 split at the k farthest points, and one GEMM of
+those splits with X (and one with the squared norms) gives every
+center's inlier sums.  So X is streamed twice per chunk, not once per
+node.  The far sets of an internal layer's centers are kept until the
+next layer is grown, so a child with its parent's center is not split
+again.  A node's split is the one top_k_farthest makes, by
+construction: both go through split_far, which places the few points
+that rounding of the expanded distance could move across the pivot by
+their direct distance and the tie rule (lower index enters the far
+set).
 
 Randomness: every node owns a stream keyed by (tree id, shifted path),
 spawned from the user seed, so results depend on the input and the seed
@@ -48,6 +56,7 @@ from .core import (
 )
 from .meb import approx_meb_center
 from .selection import (
+    check_magnitude,
     expanded_sq_dists,
     k_smallest_distance,
     split_far,
@@ -97,21 +106,14 @@ _CHUNK_PER_DIM = 8
 
 
 class _FitContext:
-    """Per-run precomputed arrays shared by every tree of a run, and the
-    distance block every chunk of centers is scored in."""
+    """Per-run precomputed arrays shared by every tree of a run, the
+    distance block every chunk of centers is scored in, and the first
+    score computed for each center, keyed by the center's bytes."""
 
     def __init__(self, ds: Dataset):
         X = ds.points
+        check_magnitude(X)
         n, d = X.shape
-        # Every distance, inlier sum and score of a fit is at most
-        # 4*n*max|x|^2 in size, and |x|^2 <= d*max|x_i|^2.
-        limit = math.sqrt(np.finfo(np.float64).max / (4.0 * n * d))
-        big = max(float(X.max()), -float(X.min()))
-        if big > limit:
-            raise InvalidParamsError(
-                f"coordinates must be at most {limit:.6g} in absolute value for "
-                f"{n} points in {d} dimensions, or their sums of squares "
-                f"overflow; got {big:.6g}")
         self.X = X
         self.n = n
         self.sqn = np.einsum("ij,ij->i", X, X)
@@ -119,6 +121,7 @@ class _FitContext:
         self.S_sqn = float(self.sqn.sum())
         rows = min(_CHUNK_BYTES // (8 * n), _CHUNK_PER_DIM * d)
         self.dists = np.empty((max(1, rows), n))
+        self.scores = {}
 
 
 def _score_chunk(ctx: _FitContext, C: np.ndarray, k: int, m: int):
@@ -144,71 +147,91 @@ def _score_chunk(ctx: _FitContext, C: np.ndarray, k: int, m: int):
 
 
 def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, tree_id: int,
-          head: np.ndarray | None = None) -> list:
-    """Grow one tree breadth first; every node becomes a Candidate.
+          head: np.ndarray | None = None):
+    """Grow one tree breadth first, yielding each layer as (paths,
+    centers, scores): one row per node, in layer order.
 
     root is a dataset row, or a row number >= n standing for the virtual
     point head.  A virtual root leads every path's points in the ball
-    computation but never appears among reported path indices.  A
-    layer is scored a chunk of nodes at a time, and each node's
-    children are drawn from its own stream as soon as it is scored.
+    computation but never appears among reported path indices.  Only
+    the layer's distinct centers that need a score (none yet in the
+    fit) or a far set (an internal layer's center that the previous
+    layer did not split) are scored; a center scored again for its far
+    set keeps its first score.  Each node's children are drawn from its
+    own stream, from its center's far set less its own path points.
     """
-    n, X, iters = ctx.n, ctx.X, p.meb_iter_count
+    X, iters, k = ctx.X, p.meb_iter_count, dp.k
     step = ctx.dists.shape[0]
-    layer = [np.array([root], dtype=np.int64)]
-    candidates = []
+    paths = np.array([[root]], dtype=np.int64)
+    held = {}  # far sets of the previous layer's centers, by center bytes
     for depth in range(1, dp.h + 1):
-        internal = depth < dp.h and dp.k > 0
-        next_layer = []
-        for a in range(0, len(layer), step):
-            paths = layer[a:a + step]
-            C = np.array([approx_meb_center(X[path] if head is None
-                                            else np.vstack([head, X[path[1:]]]), iters)
-                          for path in paths])
-            scores, near = _score_chunk(ctx, C, dp.k, dp.m)
-            for i, path in enumerate(paths):
-                real = path[path < n]
-                candidates.append(Candidate(center=C[i], path=tuple(real.tolist()),
-                                            score=float(scores[i])))
-                if not internal:
-                    continue
-                far = near[i] == 0.0
-                far[real] = False  # paths never repeat a point
-                pool = np.flatnonzero(far)
-                take = min(dp.s, pool.shape[0])
-                if take == 0:
-                    continue
-                rng = make_node_rng(p.seed, node_stream_key(tree_id, path))
-                for child in rng.choice(pool, size=take, replace=False):
-                    next_layer.append(np.append(path, child))
-        if not next_layer:
+        internal = depth < dp.h and k > 0
+        C = np.array([approx_meb_center(X[path] if head is None
+                                        else np.vstack([head, X[path[1:]]]), iters)
+                      for path in paths])
+        first = {}  # center bytes -> the first row with that center
+        for i, c in enumerate(C):
+            first.setdefault(c.tobytes(), i)
+        todo = [i for key, i in first.items()
+                if key not in ctx.scores or (internal and key not in held)]
+        fars = {}
+        for a in range(0, len(todo), step):
+            U = C[todo[a:a + step]]
+            scores, near = _score_chunk(ctx, U, k, dp.m)
+            for j, c in enumerate(U):
+                ctx.scores.setdefault(c.tobytes(), float(scores[j]))
+                if internal:
+                    fars[c.tobytes()] = np.flatnonzero(near[j] == 0.0)
+        yield paths, C, [ctx.scores[c.tobytes()] for c in C]
+        if not internal:
             break
-        layer = next_layer
-    return candidates
-
-
-def _best_index(candidates) -> int:
-    return min(range(len(candidates)), key=lambda i: candidates[i].score)
+        kids = []
+        for path, c in zip(paths, C):
+            key = c.tobytes()
+            far = fars.setdefault(key, held.get(key))
+            # paths never repeat a point
+            pool = far[~np.isin(far, path)]
+            take = min(dp.s, pool.shape[0])
+            if take == 0:
+                continue
+            rng = make_node_rng(p.seed, node_stream_key(tree_id, path))
+            block = np.empty((take, depth + 1), dtype=np.int64)
+            block[:, :-1] = path
+            block[:, -1] = rng.choice(pool, size=take, replace=False)
+            kids.append(block)
+        if not kids:
+            break
+        paths, held = np.concatenate(kids), fars
 
 
 def _drive(ds: Dataset, p: Params, dp: DerivedParams, roots, rounds: int,
-           first_tree: int = 0) -> list:
-    """All candidates of a fit: one tree per dataset root, then `rounds`
-    sequential rounds, each rooted at the best center found so far.
+           first_tree: int = 0, out: list | None = None):
+    """Grow one tree per dataset root, then `rounds` sequential rounds,
+    each rooted at the best center found so far.
 
-    Tree ids count up from first_tree over the roots and then the
-    rounds.  Round j's virtual root is row n + j, a number that keys the
-    random streams of that round's nodes.
+    Returns the best center (the first candidate attaining the minimum
+    score) and the number of candidates; when out is a list, every
+    candidate is appended to it in order.  Tree ids count up from
+    first_tree over the roots and then the rounds.  Round j's virtual
+    root is row n + j, a number that keys the random streams of that
+    round's nodes.
     """
     ctx = _FitContext(ds)
-    cands = []
-    for t, r in enumerate(roots):
-        cands.extend(_grow(ctx, p, dp, int(r), first_tree + t))
-    for j in range(rounds):
-        best = cands[_best_index(cands)]
-        cands.extend(_grow(ctx, p, dp, ctx.n + j, first_tree + len(roots) + j,
-                           best.center))
-    return cands
+    best, best_score, count = None, math.inf, 0
+    for t in range(len(roots) + rounds):
+        if t < len(roots):
+            root, head = int(roots[t]), None
+        else:
+            root, head = ctx.n + t - len(roots), best
+        for paths, C, scores in _grow(ctx, p, dp, root, first_tree + t, head):
+            i = min(range(len(scores)), key=scores.__getitem__)
+            if scores[i] < best_score:
+                best, best_score = C[i], scores[i]
+            count += len(scores)
+            if out is not None:
+                out.extend(Candidate(center=c, path=tuple(int(v) for v in path if v < ctx.n),
+                                     score=s) for path, c, s in zip(paths, C, scores))
+    return best, count
 
 
 def grow_tree(ds: Dataset, p: Params, root_index: int, *, tree_id: int = 0,
@@ -217,7 +240,9 @@ def grow_tree(ds: Dataset, p: Params, root_index: int, *, tree_id: int = 0,
     if not (0 <= root_index < ds.n):
         raise InvalidParamsError(f"root_index must be in [0, {ds.n}), got {root_index}")
     dp = derived if derived is not None else derive_params(p, ds.n)
-    return _drive(ds, p, dp, [root_index], 0, tree_id)
+    cands = []
+    _drive(ds, p, dp, [root_index], 0, tree_id, out=cands)
+    return cands
 
 
 def score_candidate(ds: Dataset, center, m: int):
@@ -231,6 +256,7 @@ def score_candidate(ds: Dataset, center, m: int):
     """
     if not (1 <= m <= ds.n):
         raise InvalidParamsError(f"m must be in [1, {ds.n}], got {m}")
+    check_magnitude(ds.points)
     c = np.asarray(center, dtype=np.float64)
     if m == ds.n:
         inliers = np.arange(ds.n)
@@ -250,7 +276,9 @@ def boost_forest(ds: Dataset, p: Params, *,
                  derived: DerivedParams | None = None) -> list:
     """Candidates of forest_size trees grown from distinct random roots."""
     dp = derived if derived is not None else derive_params(p, ds.n)
-    return _drive(ds, p, dp, _random_roots(p.seed, ds.n, min(p.forest_size, ds.n)), 0)
+    cands = []
+    _drive(ds, p, dp, _random_roots(p.seed, ds.n, min(p.forest_size, ds.n)), 0, out=cands)
+    return cands
 
 
 def boost_sequential(ds: Dataset, p: Params, rounds: int, *,
@@ -265,7 +293,9 @@ def boost_sequential(ds: Dataset, p: Params, rounds: int, *,
     if rounds < 1:
         raise InvalidParamsError(f"rounds must be >= 1, got {rounds}")
     dp = derived if derived is not None else derive_params(p, ds.n)
-    return _drive(ds, p, dp, _random_roots(p.seed, ds.n, 1), rounds - 1)
+    cands = []
+    _drive(ds, p, dp, _random_roots(p.seed, ds.n, 1), rounds - 1, out=cands)
+    return cands
 
 
 def recognize(ds: Dataset, p: Params, *, threads: int = 1,
@@ -279,10 +309,9 @@ def recognize(ds: Dataset, p: Params, *, threads: int = 1,
     """
     dp = derived if derived is not None else derive_params(p, ds.n)
     roots = _random_roots(p.seed, ds.n, min(p.forest_size, ds.n))
-    cands = _drive(ds, p, dp, roots, p.sequential_rounds)
-    winner = cands[_best_index(cands)]
-    score, inliers = score_candidate(ds, winner.center, dp.m)
-    radius = k_smallest_distance(ds, winner.center, dp.m)
-    ball = Ball(center=np.array(winner.center, dtype=np.float64), radius=radius)
+    center, count = _drive(ds, p, dp, roots, p.sequential_rounds)
+    score, inliers = score_candidate(ds, center, dp.m)
+    radius = k_smallest_distance(ds, center, dp.m)
+    ball = Ball(center=np.array(center, dtype=np.float64), radius=radius)
     return RecognitionResult(ball=ball, inliers=inliers,
-                             candidates_evaluated=len(cands), score=score)
+                             candidates_evaluated=count, score=score)

@@ -25,11 +25,32 @@ lies from the origin.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, InvalidParamsError
 
 __all__ = ["top_k_farthest", "k_smallest_distance"]
+
+
+def check_magnitude(X: np.ndarray) -> None:
+    """Refuse points whose sums of squares could overflow.
+
+    Every distance, inlier sum and score over n points in d dimensions
+    is at most 4*n*max|x|^2 in size, and |x|^2 <= d*max|x_i|^2.  Only
+    X.max() and X.min() are read, so the check makes no copy and cannot
+    overflow itself.
+    """
+    n, d = X.shape
+    limit = math.sqrt(np.finfo(np.float64).max / (4.0 * n * d))
+    big = max(float(X.max()), -float(X.min()))
+    if big > limit:
+        raise InvalidParamsError(
+            f"coordinates must be at most {limit:.6g} in absolute value for "
+            f"{n} points in {d} dimensions, or their sums of squares "
+            f"overflow; got {big:.6g}")
+
 
 def expanded_sq_dists(X: np.ndarray, sqn: np.ndarray, C: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
@@ -101,6 +122,7 @@ def top_k_farthest(ds: Dataset, center, k: int) -> tuple[np.ndarray, float]:
     if not (1 <= k <= ds.n):
         raise ValueError(f"k must be in [1, {ds.n}], got {k}")
     X = ds.points
+    check_magnitude(X)
     C = np.asarray(center, dtype=np.float64).reshape(1, -1)
     E = expanded_sq_dists(X, np.einsum("ij,ij->i", X, X), C)
     far = np.flatnonzero(split_far(X, C, E, k)[0] == 0.0)

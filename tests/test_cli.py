@@ -193,6 +193,19 @@ def test_eval_malformed_result(tmp_path, doc):
     assert "Traceback" not in r.stderr
 
 
+# the first text loads with loadtxt, the second only with the fallback parser
+@pytest.mark.parametrize("text", ["1,1\n0,1\n1,0\n", "1, 1_0\n0,1\n"])
+def test_eval_labels_with_several_columns(tmp_path, text):
+    res = tmp_path / "r.json"
+    res.write_text(json.dumps({"inliers": [0, 1]}))
+    labels = tmp_path / "l.csv"
+    labels.write_text(text)
+    r = run("eval", str(res), str(labels))
+    assert r.returncode == 1
+    assert r.stderr == f"mebo: error: {labels}: expected one label per row, got 2 columns\n"
+    assert r.stdout == ""
+
+
 # ------------------------------------------------------------ multifit
 
 

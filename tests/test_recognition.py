@@ -10,9 +10,11 @@ two passes.
 import numpy as np
 import pytest
 
+import mebo.recognition
 from mebo import (
     Candidate,
     ClassSpec,
+    k_smallest_distance,
     Dataset,
     DerivedParams,
     InvalidParamsError,
@@ -28,6 +30,7 @@ from mebo import (
     peel,
     recognize,
     score_candidate,
+    gen_highdim,
     top_k_farthest,
 )
 from mebo.recognition import node_stream_key
@@ -176,6 +179,57 @@ def test_tree_scores_match_public_op():
     for cand in cands[::17]:
         score, _ = score_candidate(ds, cand.center, dp.m)
         assert cand.score == pytest.approx(score, rel=1e-9, abs=1e-12)
+
+
+def test_equal_centers_share_one_score():
+    ds, _ = gen_highdim(1000, 20, 0.1, 0)
+    cands = boost_forest(ds, Params(gamma=0.1, seed=0, forest_size=2))
+    first = {}
+    for cand in cands:
+        assert cand.score == first.setdefault(cand.center.tobytes(), cand.score)
+    assert len(first) < len(cands) // 10  # most nodes repeat a center
+
+
+def test_each_center_scored_once(monkeypatch):
+    """Record the centers of every distance block and the depth of every
+    ball computation: a layer's blocks are the ones after its centers."""
+    events = []
+    meb, dists = mebo.recognition.approx_meb_center, mebo.recognition.expanded_sq_dists
+
+    def record_meb(points, iters):
+        if not events or events[-1][1] or events[-1][0] != len(points):
+            events.append((len(points), []))
+        return meb(points, iters)
+
+    def record_dists(X, sqn, C, out=None):
+        events[-1][1].extend(c.tobytes() for c in C)
+        return dists(X, sqn, C, out=out)
+
+    monkeypatch.setattr(mebo.recognition, "approx_meb_center", record_meb)
+    monkeypatch.setattr(mebo.recognition, "expanded_sq_dists", record_dists)
+    ds, _ = gen_highdim(1000, 20, 0.1, 1)
+    p = Params(gamma=0.1, seed=3)
+    dp = derive_params(p, ds.n)
+    recognize(ds, p)
+    scored = set()
+    leaf_rows = 0
+    for depth, rows in events:
+        assert len(set(rows)) == len(rows)
+        if depth == dp.h:
+            assert scored.isdisjoint(rows)
+            leaf_rows += len(rows)
+        scored.update(rows)
+    assert leaf_rows > 0
+
+
+def test_recognize_winner_is_first_minimum():
+    ds = planted(150, 50, 4, seed=14)
+    p = Params(gamma=0.25, seed=6, forest_size=1, sequential_rounds=2)
+    cands = boost_sequential(ds, p, rounds=p.sequential_rounds + 1)
+    best = min(range(len(cands)), key=lambda i: cands[i].score)
+    res = recognize(ds, p)
+    assert res.candidates_evaluated == len(cands)
+    assert res.ball.center.tobytes() == cands[best].center.tobytes()
 
 
 def test_grow_tree_root_validation():
@@ -415,6 +469,24 @@ def test_coordinates_whose_squares_overflow_rejected():
     # inside the limit the fit keeps the inliers of the unscaled data
     assert np.array_equal(recognize(Dataset(X * 1e150), p).inliers,
                           recognize(Dataset(X), p).inliers)
+
+
+def test_public_ops_refuse_coordinates_whose_squares_overflow():
+    X = np.random.default_rng(0).normal(size=(50, 3))
+    c = X.mean(axis=0)
+    huge = Dataset(X * 1e155)
+    for op in (top_k_farthest, score_candidate, k_smallest_distance):
+        # the message of the fit's own check, not inf
+        with pytest.raises(MeboError, match=r"at most 5\.47371e\+152 .* 50 points"):
+            op(huge, c * 1e155, 10)
+    # inside the limit each op keeps the inliers of the unscaled data
+    big = Dataset(X * 1e150)
+    assert np.array_equal(top_k_farthest(big, c * 1e150, 10)[0],
+                          top_k_farthest(Dataset(X), c, 10)[0])
+    score, inliers = score_candidate(big, c * 1e150, 40)
+    assert np.isfinite(score)
+    assert np.array_equal(inliers, score_candidate(Dataset(X), c, 40)[1])
+    assert np.isfinite(k_smallest_distance(big, c * 1e150, 40))
 
 
 def test_candidate_inliers_lazy():
