@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Ball, EmptySubsetError, InstanceTooLargeError
+from .core import Ball, EmptySubsetError, InstanceTooLargeError, InvalidParamsError
 
 __all__ = [
     "approx_meb_center",
@@ -52,7 +52,7 @@ def meb_iterates(points, iters: int) -> np.ndarray:
     """
     pts = _check_points(points)
     if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
+        raise InvalidParamsError(f"iters must be >= 1, got {iters}")
     out = np.empty((iters, pts.shape[1]))
     c = out[0]
     c[:] = pts[0]

@@ -17,18 +17,18 @@ keeps its parent's center bit for bit.  So scoring costs O(n*d) per
 distinct center, and nodes with equal centers share one score, the
 first the fit computed for that center.  A tree layer's centers are
 computed first; the distinct ones the fit has not scored yet are
-stacked and scored a chunk at a time: one GEMM gives the chunk's
-expanded squared distances, the selection module's split_far turns
-each row into its 0/1 split at the k farthest points, and one GEMM of
-those splits with X (and one with the squared norms) gives every
-center's inlier sums.  So X is streamed twice per chunk, not once per
-node.  The far sets of an internal layer's centers are kept until the
-next layer is grown, so a child with its parent's center is not split
-again.  A node's split is the one top_k_farthest makes, by
-construction: both go through split_far, which places the few points
-that rounding of the expanded distance could move across the pivot by
-their direct distance and the tie rule (lower index enters the far
-set).
+stacked and scored a chunk at a time, and a chunk holds at least d
+centers: one GEMM gives the chunk's expanded squared distances, the
+selection module's split_far turns each row into its 0/1 split at the
+k farthest points, and one GEMM of those splits with X (and one with
+the squared norms) gives every center's inlier sums.  So X is streamed
+twice per chunk, not twice per node.  The far sets of an internal
+layer's centers are kept until the next layer is grown, so a child
+with its parent's center is not split again.  A node's split is the
+one top_k_farthest makes, by construction: both go through split_far,
+which places the few points that rounding of the expanded distance
+could move across the pivot by their direct distance and the tie rule
+(lower index enters the far set).
 
 Randomness: every node owns a stream keyed by (tree id, shifted path),
 spawned from the user seed, so results depend on the input and the seed
@@ -56,6 +56,7 @@ from .core import (
 )
 from .meb import approx_meb_center
 from .selection import (
+    check_center,
     check_magnitude,
     expanded_sq_dists,
     k_smallest_distance,
@@ -97,10 +98,15 @@ def _random_roots(seed: int, n: int, size: int) -> np.ndarray:
     return np.random.default_rng(ss).choice(n, size=size, replace=False)
 
 
-# A chunk of centers is scored in one distance block of at most 3 MiB,
-# and holds at most 8 centers per coordinate: on few coordinates a
-# bigger block saves no time, and BLAS would run its products on
-# threads that only add CPU time.
+# A chunk of centers is scored in one distance block.  Its two GEMMs
+# stream all of X, so a chunk holds at least d centers: with fewer, the
+# products are bound by memory bandwidth and each center pays for a
+# growing share of a pass over X as n grows.  Past that floor the block
+# fills up to 3 MiB, and it holds at most 8 centers per coordinate: on
+# few coordinates a bigger block saves no time, and BLAS would run its
+# products on threads that only add CPU time.  So the block (rows x n)
+# is never larger than max(3 MiB, X.nbytes), and a fit's memory stays
+# O(n*d).
 _CHUNK_BYTES = 3 << 20
 _CHUNK_PER_DIM = 8
 
@@ -119,7 +125,7 @@ class _FitContext:
         self.sqn = np.einsum("ij,ij->i", X, X)
         self.Sx = X.sum(axis=0)
         self.S_sqn = float(self.sqn.sum())
-        rows = min(_CHUNK_BYTES // (8 * n), _CHUNK_PER_DIM * d)
+        rows = min(max(_CHUNK_BYTES // (8 * n), d), _CHUNK_PER_DIM * d)
         self.dists = np.empty((max(1, rows), n))
         self.scores = {}
 
@@ -256,8 +262,7 @@ def score_candidate(ds: Dataset, center, m: int):
     """
     if not (1 <= m <= ds.n):
         raise InvalidParamsError(f"m must be in [1, {ds.n}], got {m}")
-    check_magnitude(ds.points)
-    c = np.asarray(center, dtype=np.float64)
+    c = check_center(ds.points, center)
     if m == ds.n:
         inliers = np.arange(ds.n)
     else:
@@ -265,10 +270,11 @@ def score_candidate(ds: Dataset, center, m: int):
         mask = np.ones(ds.n, dtype=bool)
         mask[top] = False
         inliers = np.flatnonzero(mask)
+    # the gather is a copy, so it is centered in place: a second m x d
+    # array would set the peak memory of a fit
     pts = ds.points[inliers]
-    centroid = pts.mean(axis=0)
-    diff = pts - centroid
-    score = float(np.einsum("ij,ij->i", diff, diff).mean())
+    pts -= pts.mean(axis=0)
+    score = float(np.einsum("ij,ij->i", pts, pts).mean())
     return score, inliers
 
 

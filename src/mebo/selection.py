@@ -34,22 +34,44 @@ from .core import Dataset, InvalidParamsError
 __all__ = ["top_k_farthest", "k_smallest_distance"]
 
 
-def check_magnitude(X: np.ndarray) -> None:
-    """Refuse points whose sums of squares could overflow.
+def check_magnitude(X: np.ndarray, center: np.ndarray | None = None) -> None:
+    """Refuse points, or a center, whose sums of squares could overflow.
 
     Every distance, inlier sum and score over n points in d dimensions
-    is at most 4*n*max|x|^2 in size, and |x|^2 <= d*max|x_i|^2.  Only
-    X.max() and X.min() are read, so the check makes no copy and cannot
+    is at most 4*n*max|x|^2 in size, and |x|^2 <= d*max|x_i|^2; a center
+    within the same limit keeps every distance to it within it too.
+    Only max() and min() are read, so the check makes no copy and cannot
     overflow itself.
     """
     n, d = X.shape
     limit = math.sqrt(np.finfo(np.float64).max / (4.0 * n * d))
-    big = max(float(X.max()), -float(X.min()))
-    if big > limit:
-        raise InvalidParamsError(
-            f"coordinates must be at most {limit:.6g} in absolute value for "
-            f"{n} points in {d} dimensions, or their sums of squares "
-            f"overflow; got {big:.6g}")
+    for what, A in (("coordinates", X), ("center coordinates", center)):
+        if A is None:
+            continue
+        big = max(float(A.max()), -float(A.min()))
+        if big > limit:
+            raise InvalidParamsError(
+                f"{what} must be at most {limit:.6g} in absolute value for "
+                f"{n} points in {d} dimensions, or their sums of squares "
+                f"overflow; got {big:.6g}")
+
+
+def check_center(X: np.ndarray, center) -> np.ndarray:
+    """center as a float64 vector of X's d coordinates, after refusing
+    one of another shape, one that is not finite, and points or a center
+    beyond check_magnitude's limit: any of these would give a far set
+    and a pivot that mean nothing, or a numpy error or warning."""
+    d = X.shape[1]
+    try:
+        c = np.asarray(center, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise InvalidParamsError(f"center must be a vector of {d} numbers: {e}") from e
+    if c.shape != (d,):
+        raise InvalidParamsError(f"center must have shape ({d},), got {c.shape}")
+    if not np.isfinite(c).all():
+        raise InvalidParamsError("center contains NaN or infinity")
+    check_magnitude(X, c)
+    return c
 
 
 def expanded_sq_dists(X: np.ndarray, sqn: np.ndarray, C: np.ndarray,
@@ -120,10 +142,9 @@ def top_k_farthest(ds: Dataset, center, k: int) -> tuple[np.ndarray, float]:
     largest distance itself.  Pivot-distance ties go to lower indices.
     """
     if not (1 <= k <= ds.n):
-        raise ValueError(f"k must be in [1, {ds.n}], got {k}")
+        raise InvalidParamsError(f"k must be in [1, {ds.n}], got {k}")
     X = ds.points
-    check_magnitude(X)
-    C = np.asarray(center, dtype=np.float64).reshape(1, -1)
+    C = check_center(X, center)[None, :]
     E = expanded_sq_dists(X, np.einsum("ij,ij->i", X, X), C)
     far = np.flatnonzero(split_far(X, C, E, k)[0] == 0.0)
     return far, float(np.sqrt(direct_sq_dists(X, far, C[0]).min()))
@@ -132,6 +153,6 @@ def top_k_farthest(ds: Dataset, center, k: int) -> tuple[np.ndarray, float]:
 def k_smallest_distance(ds: Dataset, center, m: int) -> float:
     """Distance from center to its m-th nearest dataset point."""
     if not (1 <= m <= ds.n):
-        raise ValueError(f"m must be in [1, {ds.n}], got {m}")
+        raise InvalidParamsError(f"m must be in [1, {ds.n}], got {m}")
     # the m-th nearest is the (n - m + 1)-th farthest
     return top_k_farthest(ds, center, ds.n - m + 1)[1]

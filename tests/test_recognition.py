@@ -232,6 +232,58 @@ def test_recognize_winner_is_first_minimum():
     assert res.ball.center.tobytes() == cands[best].center.tobytes()
 
 
+def test_chunk_size_changes_no_result(monkeypatch):
+    # unshifted normal data: the one-pass in-tree score has no
+    # cancellation to expose, so only summation order can differ
+    ds = Dataset(np.random.default_rng(9).normal(size=(600, 8)))
+    p = Params(gamma=0.1, seed=2, forest_size=2)
+    rules = ((0, 0, 1),  # one center per chunk
+             (0, mebo.recognition._CHUNK_PER_DIM, ds.d),  # the d floor binds
+             (mebo.recognition._CHUNK_BYTES, mebo.recognition._CHUNK_PER_DIM,
+              mebo.recognition._CHUNK_PER_DIM * ds.d))  # the default
+    runs = []
+    for chunk_bytes, per_dim, rows in rules:
+        monkeypatch.setattr(mebo.recognition, "_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(mebo.recognition, "_CHUNK_PER_DIM", per_dim)
+        assert mebo.recognition._FitContext(ds).dists.shape[0] == rows
+        runs.append((recognize(ds, p), boost_forest(ds, p)))
+    (res0, cands0), others = runs[0], runs[1:]
+    for res, cands in others:
+        assert np.array_equal(res.inliers, res0.inliers)
+        assert res.ball.center.tobytes() == res0.ball.center.tobytes()
+        assert res.candidates_evaluated == res0.candidates_evaluated
+        assert len(cands) == len(cands0)
+        for a, b in zip(cands, cands0):
+            assert a.path == b.path
+            assert a.center.tobytes() == b.center.tobytes()
+            assert a.score == pytest.approx(b.score, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (10, 3), (10000, 2), (4500, 60), (20000, 100),
+                                  (40000, 50), (5000, 200), (400000, 1)])
+def test_fit_block_within_memory_bound(n, d):
+    X = np.zeros((n, d))
+    block = mebo.recognition._FitContext(Dataset(X)).dists
+    assert block.shape[1] == n
+    assert 1 <= block.shape[0] <= mebo.recognition._CHUNK_PER_DIM * d
+    assert block.nbytes <= max(mebo.recognition._CHUNK_BYTES, X.nbytes)
+
+
+def test_score_is_the_two_temporary_form():
+    # score_candidate centers its gathered inliers in place, with the bits
+    # of the form that centers a second copy
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        n = int(rng.integers(1, 300))
+        d = int(rng.integers(1, 9))
+        X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+        ds = Dataset(X)
+        for m in (int(rng.integers(1, n + 1)), n):
+            score, inliers = score_candidate(ds, rng.normal(size=d), m)
+            diff = X[inliers] - X[inliers].mean(axis=0)
+            assert score == float(np.einsum("ij,ij->i", diff, diff).mean())
+
+
 def test_grow_tree_root_validation():
     ds = planted(30, 10, 2)
     with pytest.raises(InvalidParamsError):

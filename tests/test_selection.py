@@ -1,10 +1,19 @@
 """Distance order statistics against a full-sort oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mebo import Dataset, k_smallest_distance, top_k_farthest
+from mebo import (
+    Dataset,
+    MeboError,
+    k_smallest_distance,
+    meb_iterates,
+    score_candidate,
+    top_k_farthest,
+)
 
 
 def sort_oracle(X, c, k):
@@ -136,3 +145,48 @@ def test_k_smallest_distance():
     ds_sorted = np.sort(np.linalg.norm(Y - c, axis=1))
     for m in (1, 10, 99, 100):
         assert k_smallest_distance(dsy, c, m) == pytest.approx(ds_sorted[m - 1], rel=1e-12)
+
+
+BAD_CENTERS = {
+    "short": [0.0],
+    "long": [0.0, 0.0, 0.0],
+    "matrix": [[0.0, 0.0]],
+    "ragged": [[0.0], [0.0, 0.0]],
+    "not numbers": ["a", 0.0],
+    "nan": [np.nan, 0.0],
+    "inf": [0.0, -np.inf],
+    "beyond the overflow limit": [1e300, 0.0],
+}
+CENTER_OPS = {
+    "top_k_farthest": lambda ds, c: top_k_farthest(ds, c, 3),
+    "k_smallest_distance": lambda ds, c: k_smallest_distance(ds, c, 3),
+    "score_candidate": lambda ds, c: score_candidate(ds, c, 5),
+    "score_candidate m=n": lambda ds, c: score_candidate(ds, c, 20),
+}
+BAD_COUNTS = {
+    "top_k_farthest k=0": lambda ds: top_k_farthest(ds, [0.0, 0.0], 0),
+    "top_k_farthest k>n": lambda ds: top_k_farthest(ds, [0.0, 0.0], 21),
+    "k_smallest_distance m=0": lambda ds: k_smallest_distance(ds, [0.0, 0.0], 0),
+    "k_smallest_distance m>n": lambda ds: k_smallest_distance(ds, [0.0, 0.0], 21),
+    "meb_iterates iters=0": lambda ds: meb_iterates(ds.points, 0),
+}
+
+
+def _refuses(call):
+    """call raises a MeboError, and no numpy warning comes first."""
+    ds = Dataset(np.random.default_rng(0).normal(size=(20, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeboError):
+            call(ds)
+
+
+@pytest.mark.parametrize("center", BAD_CENTERS.values(), ids=BAD_CENTERS.keys())
+@pytest.mark.parametrize("op", CENTER_OPS.values(), ids=CENTER_OPS.keys())
+def test_bad_center_refused(op, center):
+    _refuses(lambda ds: op(ds, center))
+
+
+@pytest.mark.parametrize("call", BAD_COUNTS.values(), ids=BAD_COUNTS.keys())
+def test_bad_count_refused(call):
+    _refuses(call)
