@@ -15,7 +15,7 @@ from .core import (
     SpecInfeasibleError,
     derive_params,
 )
-from .meb import approx_meb_center, enclosing_radius, exact_meb_oracle, meb_iterates
+from .meb import approx_meb_center, enclosing_radius, exact_meb_oracle
 from .metrics import f1
 from .multiclass import ClassSpec, peel
 from .recognition import (
@@ -58,7 +58,6 @@ __all__ = [
     "grow_tree",
     "k_smallest_distance",
     "make_node_rng",
-    "meb_iterates",
     "peel",
     "recognize",
     "score_candidate",

@@ -8,6 +8,7 @@ functions taking them are pure.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -143,13 +144,13 @@ class Params:
                 f"(1+delta)*gamma = {(1 + self.delta) * self.gamma:.6g} must stay below 1, "
                 "otherwise no inliers remain"
             )
-        if self.meb_iters is not None and self.meb_iters < 1:
+        if self.meb_iters is not None and as_int("meb_iters", self.meb_iters) < 1:
             raise InvalidParamsError(f"meb_iters must be >= 1, got {self.meb_iters}")
-        if self.forest_size < 1:
+        if as_int("forest_size", self.forest_size) < 1:
             raise InvalidParamsError(f"forest_size must be >= 1, got {self.forest_size}")
-        if self.sequential_rounds < 0:
+        if as_int("sequential_rounds", self.sequential_rounds) < 0:
             raise InvalidParamsError(f"sequential_rounds must be >= 0, got {self.sequential_rounds}")
-        if not (0 <= self.seed < 2**64):
+        if not (0 <= as_int("seed", self.seed) < 2**64):
             raise InvalidParamsError("seed must fit in 64 unsigned bits")
 
     @property
@@ -158,6 +159,18 @@ class Params:
         if self.meb_iters is not None:
             return self.meb_iters
         return _ceil_snapped(1.0 / (self.epsilon * self.epsilon))
+
+
+def as_int(name: str, value) -> int:
+    """value as an int.  Bools, floats and other non-integers are
+    refused, not truncated: numpy would fail on them later, deep inside
+    a fit."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 The approximate center follows the classic farthest-point recurrence:
 start at a fixed point, then repeatedly step toward the farthest point
 with shrinking step size 1/(t+1).  After N steps the center is within
-r/sqrt(N) of the true center, r being the exact radius.
+r/sqrt(N) of the true center, r being the exact radius.  A fit calls
+approx_meb_center once per tree node, on the node's few path points,
+so it keeps only the current center and allocates nothing per step
+beyond the distances to it.
 
 The exact oracle enumerates boundary subsets and is intentionally
 limited to tiny instances; it exists so tests have ground truth.
@@ -15,11 +18,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Ball, EmptySubsetError, InstanceTooLargeError, InvalidParamsError
+from .core import Ball, EmptySubsetError, InstanceTooLargeError, InvalidParamsError, as_int
 
 __all__ = [
     "approx_meb_center",
-    "meb_iterates",
     "enclosing_radius",
     "exact_meb_oracle",
 ]
@@ -39,32 +41,20 @@ def approx_meb_center(points, iters: int) -> np.ndarray:
 
     Starts at the first point in the given order (deterministic) and
     applies c <- c + (q - c)/(t+1) with q the farthest point from c,
-    ties broken by lowest row index.  Returns c_iters, a copy of the
-    last row of meb_iterates (a view would keep every row alive).
-    """
-    return meb_iterates(points, iters)[-1].copy()
-
-
-def meb_iterates(points, iters: int) -> np.ndarray:
-    """All centers c_1..c_iters of the recurrence, stacked row-wise.
-
-    Row t-1 equals approx_meb_center(points, t) exactly.
+    ties broken by lowest row index.  Returns c_iters as a new array.
     """
     pts = _check_points(points)
-    if iters < 1:
+    if as_int("iters", iters) < 1:
         raise InvalidParamsError(f"iters must be >= 1, got {iters}")
-    out = np.empty((iters, pts.shape[1]))
-    c = out[0]
-    c[:] = pts[0]
+    c = pts[0]
     for t in range(1, iters):
         diff = pts - c
         q = np.einsum("ij,ij->i", diff, diff).argmax()
-        nxt = out[t]
-        np.subtract(pts[q], c, out=nxt)
+        nxt = pts[q] - c
         nxt /= t + 1.0
-        nxt += c  # c + (q - c)/(t+1), written in place in row t
+        nxt += c
         c = nxt
-    return out
+    return c.copy() if iters == 1 else c
 
 
 def enclosing_radius(points, center) -> float:

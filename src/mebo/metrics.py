@@ -35,10 +35,20 @@ class F1Result(tuple):
 
 
 def _as_index_set(name: str, idx, n: int) -> np.ndarray:
-    a = np.unique(np.asarray(idx, dtype=np.int64).ravel())
-    if a.size and (a[0] < 0 or a[-1] >= n):
+    """idx as a sorted set of row indices in [0, n).  They must be
+    integers, as `mebo eval` demands of a result file: bools and floats
+    are refused, not truncated."""
+    a = np.asarray(idx)
+    if a.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if a.dtype.kind not in "iu" or (
+            not isinstance(idx, np.ndarray)
+            and any(isinstance(i, (bool, np.bool_)) for i in np.asarray(idx, dtype=object).flat)):
+        raise InvalidParamsError(f"{name} indices must be integers")
+    a = np.unique(a.ravel())
+    if a[0] < 0 or a[-1] >= n:
         raise InvalidParamsError(f"{name} indices must lie in [0, {n})")
-    return a
+    return a.astype(np.int64)
 
 
 def f1(predicted_inliers, true_inliers, n: int) -> F1Result:

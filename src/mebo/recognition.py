@@ -16,19 +16,24 @@ repeat a center: a child whose new point is no farther from the root
 keeps its parent's center bit for bit.  So scoring costs O(n*d) per
 distinct center, and nodes with equal centers share one score, the
 first the fit computed for that center.  A tree layer's centers are
-computed first; the distinct ones the fit has not scored yet are
-stacked and scored a chunk at a time, and a chunk holds at least d
-centers: one GEMM gives the chunk's expanded squared distances, the
-selection module's split_far turns each row into its 0/1 split at the
-k farthest points, and one GEMM of those splits with X (and one with
-the squared norms) gives every center's inlier sums.  So X is streamed
-twice per chunk, not twice per node.  The far sets of an internal
-layer's centers are kept until the next layer is grown, so a child
-with its parent's center is not split again.  A node's split is the
+computed first, one approx_meb_center call per node on its path's
+points, which are gathered a bounded slice of the layer at a time.
+The distinct centers the fit has not scored yet are stacked and scored
+a chunk at a time, and a chunk holds at least d centers: one GEMM
+gives the chunk's expanded squared distances, the selection module's
+split_far turns each row into its 0/1 split at the k farthest points,
+and one GEMM of those splits with X (and one with the squared norms)
+gives every center's inlier sums.  So X is streamed twice per chunk,
+not twice per node; summing each center's far rows by a gather instead
+was 3.5-15 times slower per center than that GEMM.  The far sets of an
+internal layer's centers are kept until the next layer is grown, so a
+child with its parent's center is not split again.  A node's split is the
 one top_k_farthest makes, by construction: both go through split_far,
 which places the few points that rounding of the expanded distance
 could move across the pivot by their direct distance and the tie rule
-(lower index enters the far set).
+(lower index enters the far set).  A child is drawn by its index into
+its parent's far set less the path, found by binary search, so no
+pool of candidates is built per node.
 
 Randomness: every node owns a stream keyed by (tree id, shifted path),
 spawned from the user seed, so results depend on the input and the seed
@@ -109,6 +114,10 @@ def _random_roots(seed: int, n: int, size: int) -> np.ndarray:
 # O(n*d).
 _CHUNK_BYTES = 3 << 20
 _CHUNK_PER_DIM = 8
+# A layer's path points are gathered this many bytes at a time: one
+# gather per slice instead of one per node, in a buffer that stays small
+# next to the distance block, whatever the layer's size.
+_GATHER_BYTES = 1 << 16
 
 
 class _FitContext:
@@ -152,6 +161,51 @@ def _score_chunk(ctx: _FitContext, C: np.ndarray, k: int, m: int):
     return np.where(scores > 0.0, scores, 0.0), near
 
 
+def _path_centers(X: np.ndarray, paths: np.ndarray, iters: int,
+                  head: np.ndarray | None) -> np.ndarray:
+    """The MEB center of each path's points, one row per path.
+
+    The points are gathered one bounded slice of paths at a time; a
+    virtual root's row number is not a row of X, so with head given
+    column 0 of every path holds head instead.
+    """
+    L, depth = paths.shape
+    C = np.empty((L, X.shape[1]))
+    step = max(1, _GATHER_BYTES // (8 * depth * X.shape[1]))
+    for a in range(0, L, step):
+        if head is None:
+            P = X[paths[a:a + step]]
+        else:
+            P = np.empty((min(step, L - a), depth, X.shape[1]))
+            P[:, 0] = head
+            P[:, 1:] = X[paths[a:a + step, 1:]]
+        for i, pts in enumerate(P, a):
+            C[i] = approx_meb_center(pts, iters)
+    return C
+
+
+def _draw_children(seed: int, tree_id: int, far: np.ndarray, path: np.ndarray,
+                   s: int) -> np.ndarray | None:
+    """Up to s distinct points of the far set that are not on the path,
+    drawn from the node's own stream, or None when none is left.
+
+    far is nonempty and ascending.  The draw is the one
+    rng.choice(far[~np.isin(far, path)], take, replace=False) makes,
+    without building that pool: the at most len(path) path points in far
+    are found by binary search, and an index j into the pool is index
+    j + r into far, r the number of those points at or before it.
+    """
+    on = far.searchsorted(path)
+    on = np.sort(on[far.take(on, mode="clip") == path])
+    size = far.shape[0] - on.shape[0]
+    take = min(s, size)
+    if take == 0:
+        return None
+    j = make_node_rng(seed, node_stream_key(tree_id, path)).choice(size, take, replace=False)
+    j += (on - np.arange(on.shape[0])).searchsorted(j, side="right")
+    return far[j]
+
+
 def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, tree_id: int,
           head: np.ndarray | None = None):
     """Grow one tree breadth first, yielding each layer as (paths,
@@ -172,38 +226,33 @@ def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, tree_id: in
     held = {}  # far sets of the previous layer's centers, by center bytes
     for depth in range(1, dp.h + 1):
         internal = depth < dp.h and k > 0
-        C = np.array([approx_meb_center(X[path] if head is None
-                                        else np.vstack([head, X[path[1:]]]), iters)
-                      for path in paths])
+        C = _path_centers(X, paths, iters, head)
         first = {}  # center bytes -> the first row with that center
-        for i, c in enumerate(C):
-            first.setdefault(c.tobytes(), i)
-        todo = [i for key, i in first.items()
+        rep = [first.setdefault(c.tobytes(), i) for i, c in enumerate(C)]
+        todo = [(key, i) for key, i in first.items()
                 if key not in ctx.scores or (internal and key not in held)]
         fars = {}
         for a in range(0, len(todo), step):
-            U = C[todo[a:a + step]]
-            scores, near = _score_chunk(ctx, U, k, dp.m)
-            for j, c in enumerate(U):
-                ctx.scores.setdefault(c.tobytes(), float(scores[j]))
+            chunk = todo[a:a + step]
+            scores, near = _score_chunk(ctx, C[[i for _, i in chunk]], k, dp.m)
+            for j, (key, _) in enumerate(chunk):
+                ctx.scores.setdefault(key, float(scores[j]))
                 if internal:
-                    fars[c.tobytes()] = np.flatnonzero(near[j] == 0.0)
-        yield paths, C, [ctx.scores[c.tobytes()] for c in C]
+                    fars[key] = np.flatnonzero(near[j] == 0.0)
+        score = {i: ctx.scores[key] for key, i in first.items()}
+        yield paths, C, [score[i] for i in rep]
         if not internal:
             break
+        far = {i: fars.setdefault(key, held.get(key)) for key, i in first.items()}
         kids = []
-        for path, c in zip(paths, C):
-            key = c.tobytes()
-            far = fars.setdefault(key, held.get(key))
+        for path, i in zip(paths, rep):
             # paths never repeat a point
-            pool = far[~np.isin(far, path)]
-            take = min(dp.s, pool.shape[0])
-            if take == 0:
+            chosen = _draw_children(p.seed, tree_id, far[i], path, dp.s)
+            if chosen is None:
                 continue
-            rng = make_node_rng(p.seed, node_stream_key(tree_id, path))
-            block = np.empty((take, depth + 1), dtype=np.int64)
+            block = np.empty((chosen.shape[0], depth + 1), dtype=np.int64)
             block[:, :-1] = path
-            block[:, -1] = rng.choice(pool, size=take, replace=False)
+            block[:, -1] = chosen
             kids.append(block)
         if not kids:
             break

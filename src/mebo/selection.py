@@ -21,6 +21,15 @@ pivot alone, are placed by their direct distance.  The split is thus
 the one the direct distances give, whatever the BLAS build, its thread
 count or the number of centers in a block, and however far the data
 lies from the origin.
+
+For a block, split_far partitions one row at a time and reads the
+largest value left of the pivot and the smallest right of it.  It then
+tests every row's band at once, splits every row at its pivot with one
+compare over the block, and splits again, from a copy of their
+distances, the rare rows whose pivot is not alone in its band.  Two
+measured alternatives were slower: a pivot bracketed from a sample of
+each row (its boolean compress costs more than the partition it saves)
+and partitioning at (m - 1, m, m + 1) instead of reading max and min.
 """
 
 from __future__ import annotations
@@ -81,11 +90,12 @@ def expanded_sq_dists(X: np.ndarray, sqn: np.ndarray, C: np.ndarray,
 
     C is an L x d block; the result is L x n, written into out when it
     is given.  sqn must be einsum("ij,ij->i", X, X); callers that score
-    many centers precompute it once.  Values can round a few ulps below
-    zero for points nearly coincident with a center.
+    many centers precompute it once.  The product is taken with -2C, so
+    the L x n block gets no scaling pass; -2 is a power of two, so that
+    product is -2 times C X^T bit for bit.  Values can round a few ulps
+    below zero for points nearly coincident with a center.
     """
-    E = np.matmul(C, X.T, out=out)
-    E *= -2.0
+    E = np.matmul(C * -2.0, X.T, out=out)
     E += sqn
     E += np.einsum("ij,ij->i", C, C)[:, None]
     return E
@@ -106,31 +116,40 @@ def split_far(X: np.ndarray, C: np.ndarray, E: np.ndarray, k: int) -> np.ndarray
     the split and returned: 1.0 at each center's n - k nearest points,
     0.0 at its k farthest.
     """
-    n = E.shape[1]
+    L, n = E.shape
     m = n - k
     scratch = np.empty(n)
-    cn = np.einsum("ij,ij->i", C, C)
-    # the band's half width over |p| + |c|^2: 8a for a = (3d + 6) ulps
-    half = (12.0 * X.shape[1] + 24.0) * np.finfo(np.float64).eps
+    # each row's pivot p, and the largest value left of it and the
+    # smallest right of it once the row is partitioned at p
+    p, left, right = np.empty(L), np.full(L, -np.inf), np.full(L, np.inf)
     for i, e in enumerate(E):
         np.copyto(scratch, e)
         scratch.partition(m)
-        p = scratch[m]
-        w = half * (abs(p) + cn[i])
-        lo, hi = (p - w, p + w) if np.isfinite(w) else (-np.inf, np.inf)
-        # the pivot alone in its band: the split is at the pivot
-        if ((m == 0 or scratch[:m].max() < lo)
-                and (k == 1 or scratch[m + 1:].min() > hi)):
-            np.less(e, p, out=e)
-            continue
-        far = e > hi
-        band = np.flatnonzero(~((e < lo) | far))  # NaN from overflow too
+        p[i] = scratch[m]
+        if m > 0:
+            left[i] = scratch[:m].max()
+        if k > 1:
+            right[i] = scratch[m + 1:].min()
+    # the band's half width over |p| + |c|^2: 8a for a = (3d + 6) ulps
+    half = (12.0 * X.shape[1] + 24.0) * np.finfo(np.float64).eps
+    w = half * (np.abs(p) + np.einsum("ij,ij->i", C, C))
+    lo, hi = p - w, p + w
+    wide = ~np.isfinite(w)
+    lo[wide], hi[wide] = -np.inf, np.inf
+    # where the pivot is alone in its band, the split is at the pivot;
+    # the other rows are split again from a copy of their distances
+    rows = np.flatnonzero(~((left < lo) & (right > hi)))
+    banded = E[rows]
+    np.less(E, p[:, None], out=E)
+    for i, e in zip(rows, banded):
+        far = e > hi[i]
+        band = np.flatnonzero(~((e < lo[i]) | far))  # NaN from overflow too
         d2 = direct_sq_dists(X, band, C[i])
         # the tie rule: farthest first and, at equal distance, the lower
         # index first (a stable sort of the ascending band indices)
         take = band[np.argsort(-d2, kind="stable")[:k - np.count_nonzero(far)]]
-        np.logical_not(far, out=e)
-        e[take] = 0.0
+        np.logical_not(far, out=E[i])
+        E[i, take] = 0.0
     return E
 
 

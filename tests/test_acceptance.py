@@ -28,8 +28,9 @@ from mebo import (
     top_k_farthest,
 )
 from mebo.cli import main
-from mebo.meb import enclosing_radius, exact_meb_oracle, meb_iterates
+from mebo.meb import enclosing_radius, exact_meb_oracle
 from mebo.synth import gen_highdim, gen_multiclass, gen_toy_2d
+from meb_oracle import meb_iterates
 
 
 def test_criterion_1_center_convergence_rate():

@@ -109,10 +109,26 @@ def test_k_exhausts_dataset():
     dict(gamma=0.1, forest_size=0),
     dict(gamma=0.1, sequential_rounds=-1),
     dict(gamma=0.1, seed=-1),
+    # counts that numpy would truncate or fail on deep inside a fit
+    dict(gamma=0.1, forest_size=2.5),
+    dict(gamma=0.1, forest_size=True),
+    dict(gamma=0.1, sequential_rounds=1.5),
+    dict(gamma=0.1, sequential_rounds=False),
+    dict(gamma=0.1, meb_iters=2.5),
+    dict(gamma=0.1, meb_iters=True),
+    dict(gamma=0.1, meb_iters="2"),
+    dict(gamma=0.1, seed=1.5),
+    dict(gamma=0.1, seed=True),
 ])
 def test_params_validation(kwargs):
     with pytest.raises(InvalidParamsError):
         Params(**kwargs)
+
+
+def test_params_accept_numpy_integers():
+    p = Params(gamma=0.1, forest_size=np.int64(2), sequential_rounds=np.int32(0),
+               meb_iters=np.uint8(3), seed=np.uint64(2**63))
+    assert p.meb_iter_count == 3
 
 
 def test_errors_are_value_errors():

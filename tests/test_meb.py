@@ -10,11 +10,12 @@ import pytest
 from mebo import (
     EmptySubsetError,
     InstanceTooLargeError,
+    InvalidParamsError,
     approx_meb_center,
     enclosing_radius,
     exact_meb_oracle,
-    meb_iterates,
 )
+from meb_oracle import meb_iterates
 
 
 # ------------------------------------------------------------- oracle
@@ -100,10 +101,20 @@ def test_recurrence_hand_trace():
 
 def test_iterates_match_single_center():
     rng = np.random.default_rng(5)
-    pts = rng.normal(size=(9, 3))
-    it = meb_iterates(pts, 12)
-    for t in (1, 2, 5, 12):
-        assert np.array_equal(it[t - 1], approx_meb_center(pts, t))
+    sets = (
+        rng.normal(size=(9, 3)),
+        np.array([[-1.0, 0.0], [1.0, 0.0]]),  # both points tie from step 2 on
+        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+        np.repeat(rng.normal(size=(4, 3)), 3, axis=0),  # every point three times
+        rng.integers(-2, 3, size=(12, 2)).astype(float),  # grid ties and repeats
+        np.ones((5, 3)),
+    )
+    for pts in sets:
+        it = meb_iterates(pts, 12)
+        for t in (*range(1, 9), 12):
+            c = approx_meb_center(pts, t)
+            assert c.tobytes() == it[t - 1].tobytes()
+            assert not np.shares_memory(c, pts)  # a new array, not a view
 
 
 def test_single_point_fixed_point():
@@ -191,7 +202,8 @@ def test_enclosing_radius():
 def test_iters_validation():
     with pytest.raises(ValueError):
         approx_meb_center(np.zeros((2, 2)), 0)
-    with pytest.raises(ValueError):
-        meb_iterates(np.zeros((2, 2)), 0)
+    for iters in (2.5, True, "2"):
+        with pytest.raises(InvalidParamsError):
+            approx_meb_center(np.zeros((2, 2)), iters)
     with pytest.raises(EmptySubsetError):
         approx_meb_center(np.zeros((0, 2)), 1)

@@ -64,6 +64,20 @@ def test_range_validation():
         f1([0], [-1], 5)
 
 
+@pytest.mark.parametrize("bad", [[1.5], np.array([1.0]), ["a"], [2**70], [True],
+                                 [1, True], np.array([True])], ids=repr)
+def test_indices_must_be_integers(bad):
+    # as `mebo eval` demands of a result file: nothing is truncated
+    for args in ((bad, [1], 3), ([1], bad, 3)):
+        with pytest.raises(InvalidParamsError, match="must be integers"):
+            f1(*args)
+
+
+def test_integer_arrays_of_any_width():
+    for dt in (np.int8, np.uint16, np.int64, np.uint64):
+        assert f1(np.array([1, 2], dtype=dt), [1], 3) == f1([1, 2], [1], 3)
+
+
 @given(st.sets(st.integers(0, 30)), st.sets(st.integers(0, 30)))
 def test_bounds_property(pred, true):
     r = f1(sorted(pred), sorted(true), 31)

@@ -7,8 +7,11 @@ a tolerance: the engine sums the inliers with a GEMM, the public op in
 two passes.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mebo.recognition
 from mebo import (
@@ -31,6 +34,7 @@ from mebo import (
     recognize,
     score_candidate,
     gen_highdim,
+    gen_multiclass,
     top_k_farthest,
 )
 from mebo.recognition import node_stream_key
@@ -104,6 +108,55 @@ def test_tree_candidate_count_defaults():
     cands = grow_tree(ds, p, 0)
     # full tree: sum over depths of s^(depth-1)
     assert len(cands) == sum(dp.s ** i for i in range(dp.h))
+
+
+@pytest.mark.parametrize("fit", ["recognize", "boost_sequential", "peel"])
+def test_one_center_call_per_node(monkeypatch, fit):
+    """Each depth j has trees * s^(j-1) approx_meb_center calls with j
+    points: one per node, with its path's points.  perfbench counts the
+    nodes per depth of a fit from these calls."""
+    depths = Counter()
+    meb = mebo.recognition.approx_meb_center
+
+    def counted(points, iters):
+        depths[len(points)] += 1
+        return meb(points, iters)
+
+    monkeypatch.setattr(mebo.recognition, "approx_meb_center", counted)
+    p = Params(gamma=0.1, seed=4)
+    ds = planted()
+    if fit == "recognize":
+        recognize(ds, p)
+        trees = p.forest_size + p.sequential_rounds
+    elif fit == "boost_sequential":
+        boost_sequential(ds, p, 3)  # two rounds with a virtual root
+        trees = 3
+    else:
+        ds, _ = gen_multiclass(600, 5, (0.45, 0.45), 0.1, 4)
+        peel(ds, ClassSpec(fractions=(0.45, 0.45)), p)
+        trees = 2 * (p.forest_size + p.sequential_rounds)
+    dp = derive_params(p, ds.n)
+    assert depths == {j: trees * dp.s ** (j - 1) for j in range(1, dp.h + 1)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 60), st.integers(1, 15), st.integers(0, 2**64 - 1),
+       st.integers(0, 9))
+def test_child_draw_is_the_pool_draw(data, n, s, seed, tree_id):
+    # the pool less the path, as the engine once built it with np.isin;
+    # row numbers >= n stand for virtual roots
+    far = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))),
+                   dtype=np.int64)
+    path = np.array(data.draw(st.lists(st.integers(0, n + 2), min_size=1, max_size=6,
+                                       unique=True)), dtype=np.int64)
+    got = mebo.recognition._draw_children(seed, tree_id, far, path, s)
+    pool = far[~np.isin(far, path)]
+    take = min(s, pool.shape[0])
+    if take == 0:
+        assert got is None
+    else:
+        rng = make_node_rng(seed, node_stream_key(tree_id, path))
+        assert np.array_equal(got, rng.choice(pool, size=take, replace=False))
 
 
 def test_tree_counts_small_overrides():

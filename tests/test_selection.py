@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from mebo import (
     Dataset,
     MeboError,
+    approx_meb_center,
     k_smallest_distance,
-    meb_iterates,
     score_candidate,
     top_k_farthest,
 )
@@ -168,7 +168,7 @@ BAD_COUNTS = {
     "top_k_farthest k>n": lambda ds: top_k_farthest(ds, [0.0, 0.0], 21),
     "k_smallest_distance m=0": lambda ds: k_smallest_distance(ds, [0.0, 0.0], 0),
     "k_smallest_distance m>n": lambda ds: k_smallest_distance(ds, [0.0, 0.0], 21),
-    "meb_iterates iters=0": lambda ds: meb_iterates(ds.points, 0),
+    "approx_meb_center iters=0": lambda ds: approx_meb_center(ds.points, 0),
 }
 
 
