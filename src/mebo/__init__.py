@@ -7,7 +7,6 @@ from .core import (
     DegenerateDatasetError,
     DerivedParams,
     EmptySubsetError,
-    InstanceTooLargeError,
     InvalidParamsError,
     MeboError,
     Params,
@@ -15,14 +14,13 @@ from .core import (
     SpecInfeasibleError,
     derive_params,
 )
-from .meb import approx_meb_center, enclosing_radius, exact_meb_oracle
+from .meb import approx_meb_center
 from .metrics import f1
 from .multiclass import ClassSpec, peel
 from .recognition import (
     boost_forest,
     boost_sequential,
     grow_tree,
-    make_node_rng,
     recognize,
     score_candidate,
 )
@@ -39,7 +37,6 @@ __all__ = [
     "DegenerateDatasetError",
     "DerivedParams",
     "EmptySubsetError",
-    "InstanceTooLargeError",
     "InvalidParamsError",
     "MeboError",
     "Params",
@@ -49,15 +46,12 @@ __all__ = [
     "boost_forest",
     "boost_sequential",
     "derive_params",
-    "enclosing_radius",
-    "exact_meb_oracle",
     "f1",
     "gen_highdim",
     "gen_multiclass",
     "gen_toy_2d",
     "grow_tree",
     "k_smallest_distance",
-    "make_node_rng",
     "peel",
     "recognize",
     "score_candidate",

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 validation or parse errors, 2 I/O errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import statistics
 import sys
@@ -24,7 +25,7 @@ import numpy as np
 from .core import Dataset, MeboError, Params, derive_params
 from .metrics import f1
 from .multiclass import ClassSpec, peel
-from .recognition import recognize, score_candidate
+from .recognition import recognize
 from .synth import gen_highdim, gen_multiclass, gen_toy_2d
 
 __all__ = ["main", "entry", "cmd_gen", "cmd_fit", "cmd_multifit", "cmd_eval", "cmd_bench"]
@@ -119,20 +120,30 @@ def _dump_json(obj) -> str:
 # ------------------------------------------------------------- params
 
 
-def _add_model_flags(sp, gamma_required=True, gamma_default=None,
-                     forest_default=4, rounds_default=2):
-    sp.add_argument("--gamma", type=float, required=gamma_required,
-                    default=gamma_default, help="outlier ratio in [0, 1)")
-    sp.add_argument("--epsilon", type=float, default=0.8, help="radius slack")
-    sp.add_argument("--delta", type=float, default=0.15, help="coverage slack")
-    sp.add_argument("--mu", type=float, default=0.9, help="per-tree failure bound")
-    sp.add_argument("--meb-iters", type=int, default=None, dest="meb_iters",
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Params)}
+
+
+def _add_model_flags(sp, gamma_default=None, forest_default=_DEFAULTS["forest_size"],
+                     rounds_default=_DEFAULTS["sequential_rounds"]):
+    """The Params flags, with Params's defaults; --gamma is required
+    unless gamma_default is given."""
+    sp.add_argument("--gamma", type=float, required=gamma_default is None,
+                    default=gamma_default, help="outlier ratio in [0, 1)"
+                    + ("" if gamma_default is None else " (default %(default)s)"))
+    sp.add_argument("--epsilon", type=float, default=_DEFAULTS["epsilon"],
+                    help="radius slack (default %(default)s)")
+    sp.add_argument("--delta", type=float, default=_DEFAULTS["delta"],
+                    help="coverage slack (default %(default)s)")
+    sp.add_argument("--mu", type=float, default=_DEFAULTS["mu"],
+                    help="per-tree failure bound (default %(default)s)")
+    sp.add_argument("--meb-iters", type=int, default=_DEFAULTS["meb_iters"], dest="meb_iters",
                     help="center iterations per node (default ceil(1/epsilon^2))")
     sp.add_argument("--forest", type=int, default=forest_default,
-                    help="number of independently rooted trees")
+                    help="number of independently rooted trees (default %(default)s)")
     sp.add_argument("--rounds", type=int, default=rounds_default,
-                    help="sequential re-rooting rounds after the forest")
-    sp.add_argument("--seed", type=int, default=0)
+                    help="sequential re-rooting rounds after the forest (default %(default)s)")
+    sp.add_argument("--seed", type=int, default=_DEFAULTS["seed"],
+                    help="random seed (default %(default)s)")
     sp.add_argument("--threads", type=int, default=1,
                     help="accepted for compatibility, no effect; BLAS is the only "
                          "parallel layer (e.g. OPENBLAS_NUM_THREADS)")
@@ -145,18 +156,10 @@ def _params_from(args) -> Params:
 
 
 def _echo(p: Params, n: int) -> dict:
-    dp = derive_params(p, n)
-    return {
-        "gamma": p.gamma,
-        "epsilon": p.epsilon,
-        "delta": p.delta,
-        "mu": p.mu,
-        "meb_iters": p.meb_iter_count,
-        "forest_size": p.forest_size,
-        "sequential_rounds": p.sequential_rounds,
-        "seed": p.seed,
-        "derived": {"h": dp.h, "k": dp.k, "s": dp.s, "m": dp.m},
-    }
+    echo = dataclasses.asdict(p)
+    echo["meb_iters"] = p.meb_iter_count
+    echo["derived"] = dataclasses.asdict(derive_params(p, n))
+    return echo
 
 
 def _parse_list(text: str, cell: type, name: str) -> list:
@@ -199,7 +202,7 @@ def _fit_common(args):
 def cmd_fit(args) -> int:
     ds, p = _fit_common(args)
     t0 = time.perf_counter()
-    res = recognize(ds, p, threads=args.threads)
+    res = recognize(ds, p)
     millis = (time.perf_counter() - t0) * 1e3
     doc = {
         "center": [float(x) for x in res.ball.center],
@@ -218,19 +221,15 @@ def cmd_multifit(args) -> int:
     ds, p = _fit_common(args)
     spec = ClassSpec(fractions=_parse_list(args.fractions, float, "fractions"))
     t0 = time.perf_counter()
-    fitted = peel(ds, spec, p, threads=args.threads)
+    fitted = peel(ds, spec, p)
     millis = (time.perf_counter() - t0) * 1e3
-    classes = []
-    for ball, covered in fitted:
-        sub = Dataset(ds.points[covered])
-        score, _ = score_candidate(sub, ball.center, sub.n)
-        classes.append({
-            "center": [float(x) for x in ball.center],
-            "radius": float(ball.radius),
-            "inliers": [int(i) for i in covered],
-            "score": float(score),
-            "size": int(covered.shape[0]),
-        })
+    classes = [{
+        "center": [float(x) for x in r.ball.center],
+        "radius": float(r.ball.radius),
+        "inliers": [int(i) for i in r.inliers],
+        "score": float(r.score),
+        "size": int(r.inliers.shape[0]),
+    } for r in fitted]
     doc = {
         "classes": classes,
         "fractions": list(spec.fractions),
@@ -341,11 +340,11 @@ def cmd_bench(args) -> int:
             ds, _ = gen_highdim(n, d, p.gamma, p.seed)
             derive_params(p, ds.n)
             for _ in range(args.warmup):
-                recognize(ds, p, threads=args.threads)
+                recognize(ds, p)
             times = []
             for _ in range(args.runs):
                 t0 = time.perf_counter()
-                recognize(ds, p, threads=args.threads)
+                recognize(ds, p)
                 times.append((time.perf_counter() - t0) * 1e3)
             med = statistics.median(times)
             lines.append(f"{n},{d},{args.runs},{med:.3f}")
@@ -397,8 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--dims", default="50")
     b.add_argument("--runs", type=int, default=5)
     b.add_argument("--warmup", type=int, default=1)
-    _add_model_flags(b, gamma_required=False, gamma_default=0.2,
-                     forest_default=1, rounds_default=0)
+    _add_model_flags(b, gamma_default=0.2, forest_default=1, rounds_default=0)
     b.add_argument("--out", default=None, help="timing CSV path (default stdout)")
     b.set_defaults(fn=cmd_bench)
     return ap

@@ -19,7 +19,6 @@ __all__ = [
     "InvalidParamsError",
     "DegenerateDatasetError",
     "EmptySubsetError",
-    "InstanceTooLargeError",
     "SpecInfeasibleError",
     "Dataset",
     "Ball",
@@ -45,10 +44,6 @@ class DegenerateDatasetError(MeboError, ValueError):
 
 class EmptySubsetError(MeboError, ValueError):
     """An operation that needs at least one point got none."""
-
-
-class InstanceTooLargeError(MeboError, ValueError):
-    """The exact oracle was asked for more than it can enumerate."""
 
 
 class SpecInfeasibleError(MeboError, ValueError):
@@ -102,9 +97,6 @@ class Ball:
             raise InvalidParamsError("ball center must be finite")
         if not (self.radius >= 0.0):
             raise InvalidParamsError(f"ball radius must be >= 0, got {self.radius}")
-
-    def contains(self, point, tol: float = 0.0) -> bool:
-        return float(np.linalg.norm(np.asarray(point, dtype=np.float64) - self.center)) <= self.radius + tol
 
 
 @dataclass(frozen=True)

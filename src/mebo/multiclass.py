@@ -2,13 +2,15 @@
 
 Fit one ball for the largest-priority class, remove the points it
 covers, and repeat on what remains.  Class fractions are caller
-supplied; classes are peeled in the order given.
+supplied; classes are peeled in the order given.  Each class is
+reported as the RecognitionResult of its stage's fit, with its inliers
+mapped back to rows of the original dataset.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from .core import (
     DerivedParams,
     InvalidParamsError,
     Params,
+    RecognitionResult,
     SpecInfeasibleError,
     _ceil_snapped,
     derive_params,
@@ -43,15 +46,17 @@ class ClassSpec:
         object.__setattr__(self, "fractions", fr)
 
 
-def peel(ds: Dataset, spec: ClassSpec, p: Params, *, threads: int = 1) -> list:
+def peel(ds: Dataset, spec: ClassSpec, p: Params) -> list[RecognitionResult]:
     """Fit one ball per class, removing covered points between fits.
 
     For class j over the n_j remaining points, the requested inlier
     count is m_j = ceil(fraction_j * n) with n the original size; the
     inner run uses exactly k = n_j - m_j as its farthest-set size, so
     the per-stage outlier ratio 1 - m_j/n_j is honored without slack.
-    Returns one (ball, indices) pair per class; indices refer to the
-    original dataset and are pairwise disjoint.
+    Returns one RecognitionResult per class: the ball, score and
+    candidates_evaluated of that stage's fit, and its inliers as
+    ascending row indices of the original dataset, pairwise disjoint
+    across classes.
     """
     total = sum(spec.fractions) + p.gamma
     if total > 1.0 + 1e-9:
@@ -69,9 +74,8 @@ def peel(ds: Dataset, spec: ClassSpec, p: Params, *, threads: int = 1) -> list:
                 f"class needs {m_j} points but only {n_j} remain")
         dp = DerivedParams(h=base.h, k=n_j - m_j, s=base.s, m=m_j)
         sub = Dataset(ds.points[remaining])
-        res = recognize(sub, p, threads=threads, derived=dp)
-        covered = remaining[res.inliers]
-        out.append((res.ball, covered))
+        res = recognize(sub, p, derived=dp)
+        out.append(replace(res, inliers=remaining[res.inliers]))
         keep = np.ones(n_j, dtype=bool)
         keep[res.inliers] = False
         remaining = remaining[keep]

@@ -38,9 +38,8 @@ pool of candidates is built per node.
 Randomness: every node owns a stream keyed by (tree id, shifted path),
 spawned from the user seed, so results depend on the input and the seed
 only, and not on the order in which nodes are scored.  Growth is
-breadth first.  recognize's `threads` argument is accepted for
-compatibility and has no effect: numpy's BLAS is the only parallel
-layer (size it with e.g. OPENBLAS_NUM_THREADS).
+breadth first.  numpy's BLAS is the only parallel layer (size it with
+e.g. OPENBLAS_NUM_THREADS).
 """
 
 from __future__ import annotations
@@ -57,6 +56,7 @@ from .core import (
     InvalidParamsError,
     Params,
     RecognitionResult,
+    as_int,
     derive_params,
 )
 from .meb import approx_meb_center
@@ -70,7 +70,6 @@ from .selection import (
 )
 
 __all__ = [
-    "make_node_rng",
     "grow_tree",
     "score_candidate",
     "boost_forest",
@@ -260,16 +259,15 @@ def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, tree_id: in
 
 
 def _drive(ds: Dataset, p: Params, dp: DerivedParams, roots, rounds: int,
-           first_tree: int = 0, out: list | None = None):
+           out: list | None = None):
     """Grow one tree per dataset root, then `rounds` sequential rounds,
     each rooted at the best center found so far.
 
     Returns the best center (the first candidate attaining the minimum
     score) and the number of candidates; when out is a list, every
-    candidate is appended to it in order.  Tree ids count up from
-    first_tree over the roots and then the rounds.  Round j's virtual
-    root is row n + j, a number that keys the random streams of that
-    round's nodes.
+    candidate is appended to it in order.  Tree ids count up from 0
+    over the roots and then the rounds.  Round j's virtual root is row
+    n + j, a number that keys the random streams of that round's nodes.
     """
     ctx = _FitContext(ds)
     best, best_score, count = None, math.inf, 0
@@ -278,7 +276,7 @@ def _drive(ds: Dataset, p: Params, dp: DerivedParams, roots, rounds: int,
             root, head = int(roots[t]), None
         else:
             root, head = ctx.n + t - len(roots), best
-        for paths, C, scores in _grow(ctx, p, dp, root, first_tree + t, head):
+        for paths, C, scores in _grow(ctx, p, dp, root, t, head):
             i = min(range(len(scores)), key=scores.__getitem__)
             if scores[i] < best_score:
                 best, best_score = C[i], scores[i]
@@ -289,14 +287,14 @@ def _drive(ds: Dataset, p: Params, dp: DerivedParams, roots, rounds: int,
     return best, count
 
 
-def grow_tree(ds: Dataset, p: Params, root_index: int, *, tree_id: int = 0,
+def grow_tree(ds: Dataset, p: Params, root_index: int, *,
               derived: DerivedParams | None = None) -> list:
     """All candidates of one tree rooted at a dataset point."""
-    if not (0 <= root_index < ds.n):
+    if not (0 <= as_int("root_index", root_index) < ds.n):
         raise InvalidParamsError(f"root_index must be in [0, {ds.n}), got {root_index}")
     dp = derived if derived is not None else derive_params(p, ds.n)
     cands = []
-    _drive(ds, p, dp, [root_index], 0, tree_id, out=cands)
+    _drive(ds, p, dp, [root_index], 0, out=cands)
     return cands
 
 
@@ -309,7 +307,7 @@ def score_candidate(ds: Dataset, center, m: int):
     those points to their own centroid (trace of their covariance),
     computed in a plain two-pass fashion.
     """
-    if not (1 <= m <= ds.n):
+    if not (1 <= as_int("m", m) <= ds.n):
         raise InvalidParamsError(f"m must be in [1, {ds.n}], got {m}")
     c = check_center(ds.points, center)
     if m == ds.n:
@@ -345,7 +343,7 @@ def boost_sequential(ds: Dataset, p: Params, rounds: int, *,
     point that participates in every path's ball computation but never
     appears among reported path indices.
     """
-    if rounds < 1:
+    if as_int("rounds", rounds) < 1:
         raise InvalidParamsError(f"rounds must be >= 1, got {rounds}")
     dp = derived if derived is not None else derive_params(p, ds.n)
     cands = []
@@ -361,6 +359,10 @@ def recognize(ds: Dataset, p: Params, *, threads: int = 1,
     candidate attaining the minimum score, its ball radius is the
     distance to its m-th nearest point, and its inlier set and score
     are re-derived with the public scoring op.
+
+    threads has no effect: numpy's BLAS is the only parallel layer.  It
+    is still accepted because callers pass it, perfbench/worker.py
+    among them, just as the CLI keeps --threads as a no-op flag.
     """
     dp = derived if derived is not None else derive_params(p, ds.n)
     roots = _random_roots(p.seed, ds.n, min(p.forest_size, ds.n))

@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .core import Dataset, InvalidParamsError
+from .core import Dataset, InvalidParamsError, as_int
 
 __all__ = ["top_k_farthest", "k_smallest_distance"]
 
@@ -160,7 +160,7 @@ def top_k_farthest(ds: Dataset, center, k: int) -> tuple[np.ndarray, float]:
     distances are >= every excluded point's distance, and the k-th
     largest distance itself.  Pivot-distance ties go to lower indices.
     """
-    if not (1 <= k <= ds.n):
+    if not (1 <= as_int("k", k) <= ds.n):
         raise InvalidParamsError(f"k must be in [1, {ds.n}], got {k}")
     X = ds.points
     C = check_center(X, center)[None, :]
@@ -171,7 +171,7 @@ def top_k_farthest(ds: Dataset, center, k: int) -> tuple[np.ndarray, float]:
 
 def k_smallest_distance(ds: Dataset, center, m: int) -> float:
     """Distance from center to its m-th nearest dataset point."""
-    if not (1 <= m <= ds.n):
+    if not (1 <= as_int("m", m) <= ds.n):
         raise InvalidParamsError(f"m must be in [1, {ds.n}], got {m}")
     # the m-th nearest is the (n - m + 1)-th farthest
     return top_k_farthest(ds, center, ds.n - m + 1)[1]

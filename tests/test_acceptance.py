@@ -28,9 +28,8 @@ from mebo import (
     top_k_farthest,
 )
 from mebo.cli import main
-from mebo.meb import enclosing_radius, exact_meb_oracle
 from mebo.synth import gen_highdim, gen_multiclass, gen_toy_2d
-from meb_oracle import meb_iterates
+from meb_oracle import enclosing_radius, exact_meb_oracle, meb_iterates
 
 
 def test_criterion_1_center_convergence_rate():
@@ -127,12 +126,12 @@ def test_criterion_6_multiclass_f1():
             out = peel(ds, ClassSpec(fractions=fr), Params(gamma=gamma, seed=seed))
             taken = set()
             scores = []
-            for _, covered in out:
+            for r in out:
                 best, best_lab = -1.0, None
                 for lab in (1, 2, 3):
                     if lab in taken:
                         continue
-                    val = f1(covered, np.flatnonzero(labels == lab), ds.n).f1
+                    val = f1(r.inliers, np.flatnonzero(labels == lab), ds.n).f1
                     if val > best:
                         best, best_lab = val, lab
                 taken.add(best_lab)

@@ -7,15 +7,13 @@ come first and use only hand-derivable geometry.
 import numpy as np
 import pytest
 
-from mebo import (
-    EmptySubsetError,
+from mebo import EmptySubsetError, InvalidParamsError, approx_meb_center
+from meb_oracle import (
     InstanceTooLargeError,
-    InvalidParamsError,
-    approx_meb_center,
     enclosing_radius,
     exact_meb_oracle,
+    meb_iterates,
 )
-from meb_oracle import meb_iterates
 
 
 # ------------------------------------------------------------- oracle

@@ -53,13 +53,13 @@ def test_peel_two_identical_clusters_exact():
     ds = two_far_blobs()
     out = peel(ds, ClassSpec(fractions=(0.5, 0.5)), Params(gamma=0.0, seed=3))
     assert len(out) == 2
-    covered = [set(c.tolist()) for _, c in out]
+    covered = [set(r.inliers.tolist()) for r in out]
     assert covered[0].isdisjoint(covered[1])
     assert covered[0] | covered[1] == set(range(100))
-    for ball, cov in out:
-        assert len(cov) == 50
-        assert ball.radius == 0.0
-        pts = ds.points[np.fromiter(cov, dtype=int)]
+    for r in out:
+        assert len(r.inliers) == 50
+        assert r.ball.radius == 0.0
+        pts = ds.points[r.inliers]
         assert np.allclose(pts, pts[0])  # each class is one blob, not a mix
 
 
@@ -73,10 +73,12 @@ def test_peel_single_class_matches_recognize():
     assert derive_params(p, ds.n).m == 770
     out = peel(ds, ClassSpec(fractions=(0.77,)), p)
     res = recognize(ds, p)
-    (ball, covered), = out
-    assert np.array_equal(ball.center, res.ball.center)
-    assert ball.radius == res.ball.radius
-    assert np.array_equal(covered, res.inliers)
+    (r,) = out
+    assert np.array_equal(r.ball.center, res.ball.center)
+    assert r.ball.radius == res.ball.radius
+    assert np.array_equal(r.inliers, res.inliers)
+    assert r.score == res.score
+    assert r.candidates_evaluated == res.candidates_evaluated
 
 
 def test_peel_sizes_disjoint_deterministic():
@@ -87,26 +89,23 @@ def test_peel_sizes_disjoint_deterministic():
     p = Params(gamma=0.1, seed=2)
     spec = ClassSpec(fractions=(0.3, 0.3, 0.3))
     out = peel(ds, spec, p)
-    assert [len(c) for _, c in out] == [300, 300, 300]  # ceil(0.3 * 1000)
-    seen = np.concatenate([c for _, c in out])
+    assert [len(r.inliers) for r in out] == [300, 300, 300]  # ceil(0.3 * 1000)
+    seen = np.concatenate([r.inliers for r in out])
     assert len(np.unique(seen)) == 900  # classes never share a point
     again = peel(ds, spec, p)
-    for (b1, c1), (b2, c2) in zip(out, again):
-        assert np.array_equal(b1.center, b2.center)
-        assert b1.radius == b2.radius
-        assert np.array_equal(c1, c2)
-    threaded = peel(ds, spec, p, threads=3)
-    for (b1, c1), (b2, c2) in zip(out, threaded):
-        assert np.array_equal(c1, c2)
+    for r1, r2 in zip(out, again):
+        assert np.array_equal(r1.ball.center, r2.ball.center)
+        assert r1.ball.radius == r2.ball.radius
+        assert np.array_equal(r1.inliers, r2.inliers)
 
 
 def test_peel_covered_indices_refer_to_original_rows():
     ds = two_far_blobs()
     out = peel(ds, ClassSpec(fractions=(0.5, 0.5)), Params(gamma=0.0, seed=1))
-    for ball, cov in out:
-        assert cov.min() >= 0 and cov.max() < ds.n
-        d = np.linalg.norm(ds.points[cov] - ball.center, axis=1)
-        assert (d <= ball.radius + 1e-9).all()
+    for r in out:
+        assert r.inliers.min() >= 0 and r.inliers.max() < ds.n
+        d = np.linalg.norm(ds.points[r.inliers] - r.ball.center, axis=1)
+        assert (d <= r.ball.radius + 1e-9).all()
 
 
 def test_peel_three_gaussians_with_outliers_quality():
@@ -119,13 +118,13 @@ def test_peel_three_gaussians_with_outliers_quality():
     # greedy best-overlap match between peeled classes and true labels
     scores = []
     taken = set()
-    for _, cov in out:
+    for r in out:
         best, best_lab = -1.0, None
         for lab in (1, 2, 3):
             if lab in taken:
                 continue
             truth = np.flatnonzero(labels == lab)
-            val = f1(cov, truth, ds.n).f1
+            val = f1(r.inliers, truth, ds.n).f1
             if val > best:
                 best, best_lab = val, lab
         taken.add(best_lab)

@@ -9,7 +9,10 @@ from hypothesis import given, settings, strategies as st
 from mebo import (
     Dataset,
     MeboError,
+    Params,
     approx_meb_center,
+    boost_sequential,
+    grow_tree,
     k_smallest_distance,
     score_candidate,
     top_k_farthest,
@@ -169,6 +172,14 @@ BAD_COUNTS = {
     "k_smallest_distance m=0": lambda ds: k_smallest_distance(ds, [0.0, 0.0], 0),
     "k_smallest_distance m>n": lambda ds: k_smallest_distance(ds, [0.0, 0.0], 21),
     "approx_meb_center iters=0": lambda ds: approx_meb_center(ds.points, 0),
+    # counts must be integers: a float or a bool is refused, not truncated
+    "top_k_farthest k=2.0": lambda ds: top_k_farthest(ds, [0.0, 0.0], 2.0),
+    "top_k_farthest k=True": lambda ds: top_k_farthest(ds, [0.0, 0.0], True),
+    "k_smallest_distance m=3.0": lambda ds: k_smallest_distance(ds, [0.0, 0.0], 3.0),
+    "score_candidate m=5.0": lambda ds: score_candidate(ds, [0.0, 0.0], 5.0),
+    "score_candidate m=True": lambda ds: score_candidate(ds, [0.0, 0.0], True),
+    "grow_tree root_index=1.0": lambda ds: grow_tree(ds, Params(gamma=0.1), 1.0),
+    "boost_sequential rounds=2.0": lambda ds: boost_sequential(ds, Params(gamma=0.1), 2.0),
 }
 
 

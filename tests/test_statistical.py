@@ -18,12 +18,12 @@ from mebo import (
     f1,
     grow_tree,
     k_smallest_distance,
-    make_node_rng,
     score_candidate,
     top_k_farthest,
 )
-from mebo.meb import exact_meb_oracle
+from mebo.recognition import make_node_rng
 from mebo.synth import gen_highdim
+from meb_oracle import exact_meb_oracle
 from tree_oracle import TreeNode, expand_node
 
 TRIALS = 200
