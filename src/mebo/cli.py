@@ -3,7 +3,10 @@
 Subcommands: gen (synthetic datasets), fit (one ball), multifit
 (greedy multi-class peeling), eval (F1 against labels), bench (timing
 grid).  Points files are headerless CSV, one point per row; labels
-files hold one integer per row (0 = outlier, j >= 1 = class j).
+files hold one integer per row (0 = outlier, j >= 1 = class j).  A
+CSV file loads exactly when numpy's loadtxt loads it, so its cells
+follow loadtxt's number grammar; a refused file gets a row and column
+diagnostic.
 
 Results are JSON with sorted keys, so identical flags yield byte
 identical output; wall-clock milliseconds go to stderr to keep it so.
@@ -18,6 +21,7 @@ import json
 import statistics
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -47,29 +51,36 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------- I/O
 
 
-def _scan_csv(path: str, text: str, cast):
-    """Slow-path parser producing positional diagnostics (1-based)."""
-    rows = []
+def _scan_csv(path: str, lines: list, cell: type, refusal: ValueError):
+    """Raise the first fault for which np.loadtxt refused lines, by
+    1-based row (line of the file) and column: a row whose column count
+    differs from the first row's, or a cell loadtxt refuses.  Rows and
+    cells go to loadtxt itself, so this finds faults and reads no data."""
     width = None
-    for i, line in enumerate(text.splitlines()):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise _Fail(1, f"{path}: row {i + 1} has {len(cells)} columns, expected {width}")
-        vals = []
-        for j, cell in enumerate(cells):
-            try:
-                vals.append(cast(cell.strip()))
-            except ValueError:
-                raise _Fail(1, f"{path}: row {i + 1}, column {j + 1}: "
-                               f"not a valid number: {cell.strip()!r}") from None
-        rows.append(vals)
-    if not rows:
-        raise _Fail(1, f"{path}: no data rows")
-    return np.array(rows)
+    with warnings.catch_warnings():
+        # loadtxt warns on a line with no data: a blank or comment line
+        warnings.simplefilter("ignore", UserWarning)
+        for i, line in enumerate(lines, 1):
+            cells = np.loadtxt([line], delimiter=",", dtype=object, ndmin=1)
+            if cells.size == 0:
+                continue
+            width = width or cells.size
+            if cells.size != width:
+                raise _Fail(1, f"{path}: row {i} has {cells.size} columns, expected {width}")
+            if _refuses(line, cell):
+                for j in range(width):
+                    if _refuses(line, cell, usecols=j):
+                        raise _Fail(1, f"{path}: row {i}, column {j + 1}: "
+                                       f"not a valid number: {cells[j].strip()!r}")
+    raise _Fail(1, f"{path}: {refusal}")
+
+
+def _refuses(line: str, cell: type, **kw) -> bool:
+    try:
+        np.loadtxt([line], delimiter=",", dtype=cell, **kw)
+    except ValueError:
+        return True
+    return False
 
 
 def _read_text(path: str) -> str:
@@ -88,10 +99,11 @@ def _load_csv(path: str, cell: type) -> np.ndarray:
     if not text.strip():
         # loadtxt quietly returns a 0-row array here, hiding the real problem
         raise _Fail(1, f"{path}: no data rows")
+    lines = text.splitlines()
     try:
-        rows = np.loadtxt(text.splitlines(), delimiter=",", dtype=cell, ndmin=2)
-    except ValueError:
-        rows = _scan_csv(path, text, cell)
+        rows = np.loadtxt(lines, delimiter=",", dtype=cell, ndmin=2)
+    except ValueError as exc:
+        _scan_csv(path, lines, cell, exc)
     if cell is float:
         return rows
     if rows.shape[1] != 1:
@@ -136,8 +148,6 @@ def _add_model_flags(sp, gamma_default=None, forest_default=_DEFAULTS["forest_si
                     help="coverage slack (default %(default)s)")
     sp.add_argument("--mu", type=float, default=_DEFAULTS["mu"],
                     help="per-tree failure bound (default %(default)s)")
-    sp.add_argument("--meb-iters", type=int, default=_DEFAULTS["meb_iters"], dest="meb_iters",
-                    help="center iterations per node (default ceil(1/epsilon^2))")
     sp.add_argument("--forest", type=int, default=forest_default,
                     help="number of independently rooted trees (default %(default)s)")
     sp.add_argument("--rounds", type=int, default=rounds_default,
@@ -150,9 +160,8 @@ def _add_model_flags(sp, gamma_default=None, forest_default=_DEFAULTS["forest_si
 
 
 def _params_from(args) -> Params:
-    return Params(gamma=args.gamma, epsilon=args.epsilon, delta=args.delta,
-                  mu=args.mu, meb_iters=args.meb_iters, forest_size=args.forest,
-                  sequential_rounds=args.rounds, seed=args.seed)
+    return Params(gamma=args.gamma, epsilon=args.epsilon, delta=args.delta, mu=args.mu,
+                  forest_size=args.forest, sequential_rounds=args.rounds, seed=args.seed)
 
 
 def _echo(p: Params, n: int) -> dict:
@@ -199,19 +208,24 @@ def _fit_common(args):
     return ds, p
 
 
+def _ball_doc(res, **extra) -> dict:
+    """The JSON fields of one fitted ball, plus extra."""
+    return {
+        "center": [float(x) for x in res.ball.center],
+        "radius": float(res.ball.radius),
+        "inliers": [int(i) for i in res.inliers],
+        "score": float(res.score),
+        **extra,
+    }
+
+
 def cmd_fit(args) -> int:
     ds, p = _fit_common(args)
     t0 = time.perf_counter()
     res = recognize(ds, p)
     millis = (time.perf_counter() - t0) * 1e3
-    doc = {
-        "center": [float(x) for x in res.ball.center],
-        "radius": float(res.ball.radius),
-        "inliers": [int(i) for i in res.inliers],
-        "score": float(res.score),
-        "candidates_evaluated": int(res.candidates_evaluated),
-        "params_echo": _echo(p, ds.n),
-    }
+    doc = _ball_doc(res, candidates_evaluated=int(res.candidates_evaluated),
+                    params_echo=_echo(p, ds.n))
     print(f"millis={millis:.3f}", file=sys.stderr)
     _emit(args, _dump_json(doc))
     return 0
@@ -223,15 +237,8 @@ def cmd_multifit(args) -> int:
     t0 = time.perf_counter()
     fitted = peel(ds, spec, p)
     millis = (time.perf_counter() - t0) * 1e3
-    classes = [{
-        "center": [float(x) for x in r.ball.center],
-        "radius": float(r.ball.radius),
-        "inliers": [int(i) for i in r.inliers],
-        "score": float(r.score),
-        "size": int(r.inliers.shape[0]),
-    } for r in fitted]
     doc = {
-        "classes": classes,
+        "classes": [_ball_doc(r, size=int(r.inliers.shape[0])) for r in fitted],
         "fractions": list(spec.fractions),
         "params_echo": _echo(p, ds.n),
     }

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +60,7 @@ class Dataset:
     __slots__ = ("points", "n", "d")
 
     def __init__(self, points) -> None:
-        pts = np.array(points, dtype=np.float64, order="C", copy=True)
+        pts = np.array(as_reals("points", points), order="C")
         if pts.ndim != 2:
             raise InvalidParamsError(f"points must be 2-dimensional, got shape {pts.shape}")
         if pts.shape[0] < 1 or pts.shape[1] < 1:
@@ -108,8 +107,8 @@ class Params:
     slack (top-k size k = ceil((1+delta)*gamma*n)), mu the per-tree
     failure probability budget (sample size s = ceil((1+1/delta)*ln(h/mu))).
 
-    meb_iters is the iteration count of the ball-center recurrence;
-    None means the derived default ceil(1/epsilon^2).  forest_size and
+    epsilon also sets the iteration count of the ball-center recurrence,
+    ceil(1/epsilon^2) (meb_iter_count), as it sets h.  forest_size and
     sequential_rounds configure boosting.  seed drives every random
     choice; identical Params give bit-identical results.
     """
@@ -118,7 +117,6 @@ class Params:
     epsilon: float = 0.8
     delta: float = 0.15
     mu: float = 0.9
-    meb_iters: Optional[int] = None
     forest_size: int = 4
     sequential_rounds: int = 2
     seed: int = 0
@@ -136,8 +134,6 @@ class Params:
                 f"(1+delta)*gamma = {(1 + self.delta) * self.gamma:.6g} must stay below 1, "
                 "otherwise no inliers remain"
             )
-        if self.meb_iters is not None and as_int("meb_iters", self.meb_iters) < 1:
-            raise InvalidParamsError(f"meb_iters must be >= 1, got {self.meb_iters}")
         if as_int("forest_size", self.forest_size) < 1:
             raise InvalidParamsError(f"forest_size must be >= 1, got {self.forest_size}")
         if as_int("sequential_rounds", self.sequential_rounds) < 0:
@@ -147,9 +143,7 @@ class Params:
 
     @property
     def meb_iter_count(self) -> int:
-        """Resolved iteration count: explicit value or ceil(1/epsilon^2)."""
-        if self.meb_iters is not None:
-            return self.meb_iters
+        """Steps of the ball-center recurrence, ceil(1/epsilon^2)."""
         return _ceil_snapped(1.0 / (self.epsilon * self.epsilon))
 
 
@@ -163,6 +157,15 @@ def as_int(name: str, value) -> int:
         except TypeError:
             pass
     raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
+
+
+def as_reals(name: str, value) -> np.ndarray:
+    """value as a float64 array (not copied if it is one); what numpy cannot
+    read as reals raises InvalidParamsError, not a bare TypeError or ValueError."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise InvalidParamsError(f"{name} must be real numbers: {e}") from None
 
 
 @dataclass(frozen=True)

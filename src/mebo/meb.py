@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import EmptySubsetError, InvalidParamsError, as_int
+from .core import EmptySubsetError, InvalidParamsError, as_int, as_reals
 
 __all__ = ["approx_meb_center"]
 
@@ -25,7 +25,7 @@ def approx_meb_center(points, iters: int) -> np.ndarray:
     applies c <- c + (q - c)/(t+1) with q the farthest point from c,
     ties broken by lowest row index.  Returns c_iters as a new array.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = as_reals("points", points)
     if pts.ndim == 1:
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[0] == 0:

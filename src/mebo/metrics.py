@@ -36,15 +36,15 @@ class F1Result(tuple):
 
 def _as_index_set(name: str, idx, n: int) -> np.ndarray:
     """idx as a sorted set of row indices in [0, n).  They must be
-    integers, as `mebo eval` demands of a result file: bools and floats
-    are refused, not truncated."""
+    integers in a sequence, as `mebo eval` demands of a result file:
+    a lone integer, bools and floats are refused, not truncated."""
     a = np.asarray(idx)
     if a.size == 0:
         return np.empty(0, dtype=np.int64)
-    if a.dtype.kind not in "iu" or (
+    if a.ndim == 0 or a.dtype.kind not in "iu" or (
             not isinstance(idx, np.ndarray)
             and any(isinstance(i, (bool, np.bool_)) for i in np.asarray(idx, dtype=object).flat)):
-        raise InvalidParamsError(f"{name} indices must be integers")
+        raise InvalidParamsError(f"{name} indices must be integers in a sequence")
     a = np.unique(a.ravel())
     if a[0] < 0 or a[-1] >= n:
         raise InvalidParamsError(f"{name} indices must lie in [0, {n})")

@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .core import Dataset, InvalidParamsError, as_int
+from .core import Dataset, InvalidParamsError, as_int, as_reals
 
 __all__ = ["top_k_farthest", "k_smallest_distance"]
 
@@ -71,10 +71,7 @@ def check_center(X: np.ndarray, center) -> np.ndarray:
     beyond check_magnitude's limit: any of these would give a far set
     and a pivot that mean nothing, or a numpy error or warning."""
     d = X.shape[1]
-    try:
-        c = np.asarray(center, dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise InvalidParamsError(f"center must be a vector of {d} numbers: {e}") from e
+    c = as_reals("center", center)
     if c.shape != (d,):
         raise InvalidParamsError(f"center must have shape ({d},), got {c.shape}")
     if not np.isfinite(c).all():

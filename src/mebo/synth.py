@@ -25,56 +25,46 @@ def _group_sizes(total: int, parts: int) -> np.ndarray:
     return np.diff(bounds)
 
 
-def _unit(rng: np.random.Generator, d: int) -> np.ndarray:
-    v = rng.standard_normal(d)
-    return v / np.linalg.norm(v)
-
-
-def gen_toy_2d(seed: int):
-    """Plane instance of 10000 points at outlier ratio 0.4.
-
-    6000 inliers from one unit normal at the origin; 4000 outliers in
-    four groups of 800, 1200, 800, and 1200 points, the first three
-    normal clusters placed well away from the origin, the last uniform
-    over the box.  Returns (Dataset, labels).
-    """
+def _one_ball_with_outliers(seed: int, n_in: int, sizes, d: int):
+    """n_in inliers from the unit normal at the origin, then outliers in
+    four groups of the given sizes: three unit normal clusters at
+    distances 12, 15 and 18 along random directions, and one uniform
+    over the box.  Returns (Dataset, labels)."""
     rng = np.random.default_rng(seed)
-    inl = rng.standard_normal((6000, 2))
+    inl = rng.standard_normal((n_in, d))
     groups = []
-    for size, dist in zip((800, 1200, 800), (12.0, 15.0, 18.0)):
-        mean = dist * _unit(rng, 2)
-        groups.append(mean + rng.standard_normal((size, 2)))
-    groups.append(rng.uniform(-_BOX_HALF, _BOX_HALF, size=(1200, 2)))
+    for size, dist in zip(sizes[:3], (12.0, 15.0, 18.0)):
+        v = rng.standard_normal(d)
+        mean = dist * (v / np.linalg.norm(v))
+        groups.append(mean + rng.standard_normal((int(size), d)))
+    groups.append(rng.uniform(-_BOX_HALF, _BOX_HALF, size=(int(sizes[3]), d)))
     pts = np.vstack([inl] + groups)
-    labels = np.zeros(10000, dtype=np.int64)
-    labels[:6000] = 1
+    labels = np.zeros(pts.shape[0], dtype=np.int64)
+    labels[:n_in] = 1
     return Dataset(pts), labels
 
 
+def gen_toy_2d(seed: int):
+    """Plane instance of 10000 points at outlier ratio 0.4: 6000 inliers
+    from the unit normal at the origin, and 4000 outliers in three normal
+    clusters of 800, 1200 and 800 points away from it plus 1200 points
+    uniform over the box.  Returns (Dataset, labels)."""
+    return _one_ball_with_outliers(seed, 6000, (800, 1200, 800, 1200), 2)
+
+
 def gen_highdim(n: int, d: int, gamma: float, seed: int):
-    """(1-gamma)n inliers from one spherical normal, gamma*n outliers in
-    four groups (three normal clusters away from the origin, one uniform
-    over the box).  Returns (Dataset, labels)."""
+    """gen_toy_2d's layout in d dimensions, with (1-gamma)n inliers and
+    gamma*n outliers in four groups whose sizes differ by at most one.
+    Returns (Dataset, labels)."""
     if n < 1 or d < 1:
         raise InvalidParamsError(f"n and d must be positive, got n={n}, d={d}")
     if not (0.0 < gamma < 1.0):
         raise InvalidParamsError(f"gamma must be in (0, 1), got {gamma}")
-    rng = np.random.default_rng(seed)
     n_out = int(round(gamma * n))
     n_in = n - n_out
     if n_in < 1 or n_out < 1:
         raise InvalidParamsError(f"degenerate split: {n_in} inliers, {n_out} outliers")
-    inl = rng.standard_normal((n_in, d))
-    sizes = _group_sizes(n_out, 4)
-    groups = []
-    for size, dist in zip(sizes[:3], (12.0, 15.0, 18.0)):
-        mean = dist * _unit(rng, d)
-        groups.append(mean + rng.standard_normal((int(size), d)))
-    groups.append(rng.uniform(-_BOX_HALF, _BOX_HALF, size=(int(sizes[3]), d)))
-    pts = np.vstack([inl] + groups)
-    labels = np.zeros(n, dtype=np.int64)
-    labels[:n_in] = 1
-    return Dataset(pts), labels
+    return _one_ball_with_outliers(seed, n_in, _group_sizes(n_out, 4), d)
 
 
 def _class_mean(j: int, d: int) -> np.ndarray:

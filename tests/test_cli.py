@@ -193,7 +193,8 @@ def test_eval_malformed_result(tmp_path, doc):
     assert "Traceback" not in r.stderr
 
 
-# the first text loads with loadtxt, the second only with the fallback parser
+# loadtxt loads the first text; it refuses the second for its 1_0 cell
+# before the column count is looked at
 @pytest.mark.parametrize("text", ["1,1\n0,1\n1,0\n", "1, 1_0\n0,1\n"])
 def test_eval_labels_with_several_columns(tmp_path, text):
     res = tmp_path / "r.json"
@@ -202,7 +203,9 @@ def test_eval_labels_with_several_columns(tmp_path, text):
     labels.write_text(text)
     r = run("eval", str(res), str(labels))
     assert r.returncode == 1
-    assert r.stderr == f"mebo: error: {labels}: expected one label per row, got 2 columns\n"
+    error = ("row 1, column 2: not a valid number: '1_0'" if "1_0" in text
+             else "expected one label per row, got 2 columns")
+    assert r.stderr == f"mebo: error: {labels}: {error}\n"
     assert r.stdout == ""
 
 
@@ -306,12 +309,23 @@ def test_ragged_csv_diagnostic(tmp_path):
     assert "row 2 has 3 columns, expected 2" in r.stderr
 
 
-def test_non_numeric_cell_diagnostic(tmp_path):
-    pts = tmp_path / "p.csv"
-    pts.write_text("1,x\n2,3\n")
-    r = run("fit", str(pts), "--gamma", "0.2")
+# loadtxt refuses 1_0 and the fullwidth digit, which Python's float and int take
+@pytest.mark.parametrize("cell", ["x", "1_0", "\uff11"])
+@pytest.mark.parametrize("kind", ["points", "labels"])
+def test_non_numeric_cell_diagnostic(tmp_path, kind, cell):
+    path = tmp_path / "p.csv"
+    result = tmp_path / "r.json"
+    result.write_text('{"inliers": [0]}')
+    if kind == "points":
+        path.write_text(f"1,{cell}\n2,3\n")
+        r = run("fit", str(path), "--gamma", "0.2")
+    else:
+        path.write_text(f"1\n{cell}\n")
+        r = run("eval", str(result), str(path))
     assert r.returncode == 1
-    assert "row 1, column 2: not a valid number: 'x'" in r.stderr
+    assert r.stdout == ""
+    where = "row 1, column 2" if kind == "points" else "row 2, column 1"
+    assert r.stderr == f"mebo: error: {path}: {where}: not a valid number: {cell!r}\n"
 
 
 def test_empty_file_diagnostic(tmp_path):

@@ -54,7 +54,6 @@ def test_derive_is_pure():
 def test_meb_iter_count():
     assert Params(gamma=0.1).meb_iter_count == 2  # ceil(1/0.64)
     assert Params(gamma=0.1, epsilon=0.25).meb_iter_count == 16
-    assert Params(gamma=0.1, meb_iters=7).meb_iter_count == 7
 
 
 @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), st.floats(0.05, 0.95),
@@ -108,7 +107,6 @@ def test_k_exhausts_dataset():
     dict(gamma=0.1, mu=0.0),
     dict(gamma=0.1, mu=1.0),
     dict(gamma=0.9, delta=0.15),   # (1+delta)*gamma >= 1
-    dict(gamma=0.1, meb_iters=0),
     dict(gamma=0.1, forest_size=0),
     dict(gamma=0.1, sequential_rounds=-1),
     dict(gamma=0.1, seed=-1),
@@ -117,9 +115,6 @@ def test_k_exhausts_dataset():
     dict(gamma=0.1, forest_size=True),
     dict(gamma=0.1, sequential_rounds=1.5),
     dict(gamma=0.1, sequential_rounds=False),
-    dict(gamma=0.1, meb_iters=2.5),
-    dict(gamma=0.1, meb_iters=True),
-    dict(gamma=0.1, meb_iters="2"),
     dict(gamma=0.1, seed=1.5),
     dict(gamma=0.1, seed=True),
 ])
@@ -130,8 +125,8 @@ def test_params_validation(kwargs):
 
 def test_params_accept_numpy_integers():
     p = Params(gamma=0.1, forest_size=np.int64(2), sequential_rounds=np.int32(0),
-               meb_iters=np.uint8(3), seed=np.uint64(2**63))
-    assert p.meb_iter_count == 3
+               seed=np.uint64(2**63))
+    assert (p.forest_size, p.sequential_rounds, p.seed) == (2, 0, 2**63)
 
 
 def test_errors_are_value_errors():

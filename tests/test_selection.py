@@ -156,6 +156,8 @@ BAD_CENTERS = {
     "matrix": [[0.0, 0.0]],
     "ragged": [[0.0], [0.0, 0.0]],
     "not numbers": ["a", 0.0],
+    "complex": [1 + 2j, 0.0],
+    "mapping": {"x": 0.0},
     "nan": [np.nan, 0.0],
     "inf": [0.0, -np.inf],
     "beyond the overflow limit": [1e300, 0.0],
@@ -166,7 +168,17 @@ CENTER_OPS = {
     "score_candidate": lambda ds, c: score_candidate(ds, c, 5),
     "score_candidate m=n": lambda ds, c: score_candidate(ds, c, 20),
 }
-BAD_COUNTS = {
+# arrays from outside the library, read through one conversion rule
+UNREADABLE = {
+    "complex": [[1 + 2j, 0.0]],
+    "text": [["a", 1.0]],
+    "ragged": [[0.0], [0.0, 0.0]],
+    "mapping": {"x": 0.0},
+}
+BAD_CALLS = {
+    **{f"Dataset {name}": lambda ds, a=a: Dataset(a) for name, a in UNREADABLE.items()},
+    **{f"approx_meb_center {name}": lambda ds, a=a: approx_meb_center(a, 2)
+       for name, a in UNREADABLE.items()},
     "top_k_farthest k=0": lambda ds: top_k_farthest(ds, [0.0, 0.0], 0),
     "top_k_farthest k>n": lambda ds: top_k_farthest(ds, [0.0, 0.0], 21),
     "k_smallest_distance m=0": lambda ds: k_smallest_distance(ds, [0.0, 0.0], 0),
@@ -198,6 +210,6 @@ def test_bad_center_refused(op, center):
     _refuses(lambda ds: op(ds, center))
 
 
-@pytest.mark.parametrize("call", BAD_COUNTS.values(), ids=BAD_COUNTS.keys())
+@pytest.mark.parametrize("call", BAD_CALLS.values(), ids=BAD_CALLS.keys())
 def test_bad_count_refused(call):
     _refuses(call)

@@ -1,5 +1,7 @@
 """Synthetic generators: exact counts, determinism, geometry."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -92,3 +94,18 @@ def test_multiclass_determinism():
     b, lb = gen_multiclass(600, 12, (0.4, 0.4), 0.2, seed=21)
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(la, lb)
+
+
+def test_seed_0_digests():
+    # the benchmark inputs, bit for bit: sha256[:16] of points and labels
+    def digest(a):
+        return hashlib.sha256(a.tobytes()).hexdigest()[:16]
+
+    cases = {
+        "toy2d": (gen_toy_2d(0), "8b7043c735a8a2c8", "cd383ce8044cba29"),
+        "highdim": (gen_highdim(20000, 100, 0.1, 0), "20ec052d7175822a", "032bf7465543be86"),
+        "multiclass": (gen_multiclass(4500, 60, (0.3,) * 3, 0.1, 0),
+                       "fea9339976a1b345", "d032ef3a338b098a"),
+    }
+    for name, ((ds, labels), points_digest, labels_digest) in cases.items():
+        assert (digest(ds.points), digest(labels)) == (points_digest, labels_digest), name
