@@ -95,15 +95,16 @@ def _read_text(path: str) -> str:
 def _load_csv(path: str, cell: type) -> np.ndarray:
     """Points (cell float, one row per point) or labels (cell int, one
     column) from a headerless CSV."""
-    text = _read_text(path)
-    if not text.strip():
-        # loadtxt quietly returns a 0-row array here, hiding the real problem
-        raise _Fail(1, f"{path}: no data rows")
-    lines = text.splitlines()
+    lines = _read_text(path).splitlines()
     try:
-        rows = np.loadtxt(lines, delimiter=",", dtype=cell, ndmin=2)
+        with warnings.catch_warnings():
+            # loadtxt warns on a file with no data and returns 0 rows
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(lines, delimiter=",", dtype=cell, ndmin=2)
     except ValueError as exc:
         _scan_csv(path, lines, cell, exc)
+    if rows.shape[0] == 0:
+        raise _Fail(1, f"{path}: no data rows")
     if cell is float:
         return rows
     if rows.shape[1] != 1:
@@ -203,9 +204,7 @@ def cmd_gen(args) -> int:
 def _fit_common(args):
     X = _load_csv(args.points, float)
     p = _params_from(args)
-    ds = Dataset(X)
-    derive_params(p, ds.n)
-    return ds, p
+    return Dataset(X), p
 
 
 def _ball_doc(res, **extra) -> dict:
@@ -345,7 +344,6 @@ def cmd_bench(args) -> int:
     for n in sizes:
         for d in dims:
             ds, _ = gen_highdim(n, d, p.gamma, p.seed)
-            derive_params(p, ds.n)
             for _ in range(args.warmup):
                 recognize(ds, p)
             times = []

@@ -8,6 +8,7 @@ functions taking them are pure.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -122,6 +123,8 @@ class Params:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("gamma", "epsilon", "delta", "mu"):
+            object.__setattr__(self, name, as_real(name, getattr(self, name)))
         # gamma = 0 is allowed so multi-class peeling can request "no outliers".
         if not (0.0 <= self.gamma < 1.0):
             raise InvalidParamsError(f"gamma must be in [0, 1), got {self.gamma}")
@@ -138,8 +141,7 @@ class Params:
             raise InvalidParamsError(f"forest_size must be >= 1, got {self.forest_size}")
         if as_int("sequential_rounds", self.sequential_rounds) < 0:
             raise InvalidParamsError(f"sequential_rounds must be >= 0, got {self.sequential_rounds}")
-        if not (0 <= as_int("seed", self.seed) < 2**64):
-            raise InvalidParamsError("seed must fit in 64 unsigned bits")
+        as_seed(self.seed)
 
     @property
     def meb_iter_count(self) -> int:
@@ -159,9 +161,29 @@ def as_int(name: str, value) -> int:
     raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
 
 
+def as_seed(value) -> int:
+    """value as a random seed, an integer in [0, 2^64)."""
+    seed = as_int("seed", value)
+    if not (0 <= seed < 2**64):
+        raise InvalidParamsError("seed must fit in 64 unsigned bits")
+    return seed
+
+
+def as_real(name: str, value) -> float:
+    """value as a float.  Bools, text, None and other values that are
+    not real numbers are refused, not converted: False would pass as
+    0.0, and text would fail later with a bare TypeError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise InvalidParamsError(f"{name} must be a real number, got {value!r}")
+
+
 def as_reals(name: str, value) -> np.ndarray:
     """value as a float64 array (not copied if it is one); what numpy cannot
-    read as reals raises InvalidParamsError, not a bare TypeError or ValueError."""
+    read as reals raises InvalidParamsError, not a bare TypeError or ValueError.
+    A complex array is refused too: numpy would drop its imaginary part."""
+    if isinstance(value, (np.ndarray, np.generic)) and value.dtype.kind == "c":
+        raise InvalidParamsError(f"{name} must be real numbers, got dtype {value.dtype}")
     try:
         return np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as e:
@@ -192,16 +214,23 @@ def _ceil_snapped(x: float) -> int:
     return int(math.ceil(x))
 
 
-def derive_params(p: Params, n: int) -> DerivedParams:
+def derive_params(p: Params, n: int, m: int | None = None) -> DerivedParams:
     """Derive (h, k, s, m) for a dataset of n points.
 
     h = ceil(2/epsilon) + 1, k = ceil((1+delta)*gamma*n),
-    s = ceil((1+1/delta)*ln(h/mu)), m = n - k.
+    s = ceil((1+1/delta)*ln(h/mu)), m = n - k.  An inlier count m in
+    [1, n], when given, sets k = n - m instead.
     """
+    n = as_int("n", n)
     if n < 1:
         raise DegenerateDatasetError(f"need at least one point, got n={n}")
     h = _ceil_snapped(2.0 / p.epsilon) + 1
-    k = _ceil_snapped((1.0 + p.delta) * p.gamma * n)
+    if m is None:
+        k = _ceil_snapped((1.0 + p.delta) * p.gamma * n)
+    elif not (1 <= as_int("m", m) <= n):
+        raise InvalidParamsError(f"m must be in [1, {n}], got {m}")
+    else:
+        k = n - int(m)
     if k >= n:
         raise DegenerateDatasetError(
             f"top-k count k={k} leaves no inliers out of n={n}; lower gamma or delta"

@@ -16,12 +16,12 @@ import numpy as np
 
 from .core import (
     Dataset,
-    DerivedParams,
     InvalidParamsError,
     Params,
     RecognitionResult,
     SpecInfeasibleError,
     _ceil_snapped,
+    as_real,
     derive_params,
 )
 from .recognition import recognize
@@ -37,7 +37,7 @@ class ClassSpec:
     fractions: tuple
 
     def __post_init__(self):
-        fr = tuple(float(f) for f in self.fractions)
+        fr = tuple(as_real("class fractions", f) for f in self.fractions)
         if len(fr) < 1:
             raise InvalidParamsError("need at least one class fraction")
         for f in fr:
@@ -51,8 +51,8 @@ def peel(ds: Dataset, spec: ClassSpec, p: Params) -> list[RecognitionResult]:
 
     For class j over the n_j remaining points, the requested inlier
     count is m_j = ceil(fraction_j * n) with n the original size; the
-    inner run uses exactly k = n_j - m_j as its farthest-set size, so
-    the per-stage outlier ratio 1 - m_j/n_j is honored without slack.
+    stage's fit is recognize(sub, p, m=m_j), whose farthest-set size is
+    exactly k = n_j - m_j, so 1 - m_j/n_j is honored without slack.
     Returns one RecognitionResult per class: the ball, score and
     candidates_evaluated of that stage's fit, and its inliers as
     ascending row indices of the original dataset, pairwise disjoint
@@ -63,7 +63,7 @@ def peel(ds: Dataset, spec: ClassSpec, p: Params) -> list[RecognitionResult]:
         raise SpecInfeasibleError(
             f"class fractions plus outlier ratio exceed 1: {total}")
     n = ds.n
-    base = derive_params(p, n)
+    derive_params(p, n)  # p must leave inliers on the whole dataset too
     remaining = np.arange(n)
     out = []
     for frac in spec.fractions:
@@ -72,9 +72,8 @@ def peel(ds: Dataset, spec: ClassSpec, p: Params) -> list[RecognitionResult]:
         if m_j > n_j:
             raise SpecInfeasibleError(
                 f"class needs {m_j} points but only {n_j} remain")
-        dp = DerivedParams(h=base.h, k=n_j - m_j, s=base.s, m=m_j)
         sub = Dataset(ds.points[remaining])
-        res = recognize(sub, p, derived=dp)
+        res = recognize(sub, p, m=m_j)
         out.append(replace(res, inliers=remaining[res.inliers]))
         keep = np.ones(n_j, dtype=bool)
         keep[res.inliers] = False

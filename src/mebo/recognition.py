@@ -287,14 +287,12 @@ def _drive(ds: Dataset, p: Params, dp: DerivedParams, roots, rounds: int,
     return best, count
 
 
-def grow_tree(ds: Dataset, p: Params, root_index: int, *,
-              derived: DerivedParams | None = None) -> list:
+def grow_tree(ds: Dataset, p: Params, root_index: int) -> list:
     """All candidates of one tree rooted at a dataset point."""
     if not (0 <= as_int("root_index", root_index) < ds.n):
         raise InvalidParamsError(f"root_index must be in [0, {ds.n}), got {root_index}")
-    dp = derived if derived is not None else derive_params(p, ds.n)
     cands = []
-    _drive(ds, p, dp, [root_index], 0, out=cands)
+    _drive(ds, p, derive_params(p, ds.n), [root_index], 0, out=cands)
     return cands
 
 
@@ -325,17 +323,15 @@ def score_candidate(ds: Dataset, center, m: int):
     return score, inliers
 
 
-def boost_forest(ds: Dataset, p: Params, *,
-                 derived: DerivedParams | None = None) -> list:
+def boost_forest(ds: Dataset, p: Params) -> list:
     """Candidates of forest_size trees grown from distinct random roots."""
-    dp = derived if derived is not None else derive_params(p, ds.n)
+    roots = _random_roots(p.seed, ds.n, min(p.forest_size, ds.n))
     cands = []
-    _drive(ds, p, dp, _random_roots(p.seed, ds.n, min(p.forest_size, ds.n)), 0, out=cands)
+    _drive(ds, p, derive_params(p, ds.n), roots, 0, out=cands)
     return cands
 
 
-def boost_sequential(ds: Dataset, p: Params, rounds: int, *,
-                     derived: DerivedParams | None = None) -> list:
+def boost_sequential(ds: Dataset, p: Params, rounds: int) -> list:
     """Sequential boosting: each round re-roots at the best center so far.
 
     Round 1 grows from a random dataset point.  Later rounds root at the
@@ -345,26 +341,27 @@ def boost_sequential(ds: Dataset, p: Params, rounds: int, *,
     """
     if as_int("rounds", rounds) < 1:
         raise InvalidParamsError(f"rounds must be >= 1, got {rounds}")
-    dp = derived if derived is not None else derive_params(p, ds.n)
     cands = []
-    _drive(ds, p, dp, _random_roots(p.seed, ds.n, 1), rounds - 1, out=cands)
+    _drive(ds, p, derive_params(p, ds.n), _random_roots(p.seed, ds.n, 1), rounds - 1,
+           out=cands)
     return cands
 
 
 def recognize(ds: Dataset, p: Params, *, threads: int = 1,
-              derived: DerivedParams | None = None) -> RecognitionResult:
+              m: int | None = None) -> RecognitionResult:
     """Full pipeline: forest boosting, sequential rounds, winner selection.
 
     Deterministic given p (seed included): the winner is the first
     candidate attaining the minimum score, its ball radius is the
     distance to its m-th nearest point, and its inlier set and score
-    are re-derived with the public scoring op.
+    are re-derived with the public scoring op.  m is the inlier count
+    derive_params(p, ds.n, m) gives; a given m in [1, n] sets k = n - m.
 
     threads has no effect: numpy's BLAS is the only parallel layer.  It
     is still accepted because callers pass it, perfbench/worker.py
     among them, just as the CLI keeps --threads as a no-op flag.
     """
-    dp = derived if derived is not None else derive_params(p, ds.n)
+    dp = derive_params(p, ds.n, m)
     roots = _random_roots(p.seed, ds.n, min(p.forest_size, ds.n))
     center, count = _drive(ds, p, dp, roots, p.sequential_rounds)
     score, inliers = score_candidate(ds, center, dp.m)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, InvalidParamsError
+from .core import Dataset, InvalidParamsError, as_int, as_real, as_seed
 
 __all__ = ["gen_toy_2d", "gen_highdim", "gen_multiclass"]
 
@@ -23,6 +23,15 @@ def _group_sizes(total: int, parts: int) -> np.ndarray:
     """Split total into parts whose sizes differ by at most 1, exactly."""
     bounds = np.round(np.linspace(0.0, total, parts + 1)).astype(np.int64)
     return np.diff(bounds)
+
+
+def _checked(n, d, gamma, seed):
+    """The shared arguments as ints n, d >= 1, a float gamma and a seed;
+    anything else raises InvalidParamsError."""
+    n, d = as_int("n", n), as_int("d", d)
+    if n < 1 or d < 1:
+        raise InvalidParamsError(f"n and d must be positive, got n={n}, d={d}")
+    return n, d, as_real("gamma", gamma), as_seed(seed)
 
 
 def _one_ball_with_outliers(seed: int, n_in: int, sizes, d: int):
@@ -49,15 +58,14 @@ def gen_toy_2d(seed: int):
     from the unit normal at the origin, and 4000 outliers in three normal
     clusters of 800, 1200 and 800 points away from it plus 1200 points
     uniform over the box.  Returns (Dataset, labels)."""
-    return _one_ball_with_outliers(seed, 6000, (800, 1200, 800, 1200), 2)
+    return _one_ball_with_outliers(as_seed(seed), 6000, (800, 1200, 800, 1200), 2)
 
 
 def gen_highdim(n: int, d: int, gamma: float, seed: int):
     """gen_toy_2d's layout in d dimensions, with (1-gamma)n inliers and
     gamma*n outliers in four groups whose sizes differ by at most one.
     Returns (Dataset, labels)."""
-    if n < 1 or d < 1:
-        raise InvalidParamsError(f"n and d must be positive, got n={n}, d={d}")
+    n, d, gamma, seed = _checked(n, d, gamma, seed)
     if not (0.0 < gamma < 1.0):
         raise InvalidParamsError(f"gamma must be in (0, 1), got {gamma}")
     n_out = int(round(gamma * n))
@@ -84,9 +92,8 @@ def gen_multiclass(n: int, d: int, fractions, gamma: float, seed: int):
     standard deviation).  Returns (Dataset, labels) with labels in
     {0 (outlier), 1..C}.
     """
-    fr = tuple(float(f) for f in fractions)
-    if n < 1 or d < 1:
-        raise InvalidParamsError(f"n and d must be positive, got n={n}, d={d}")
+    fr = tuple(as_real("fractions", f) for f in fractions)
+    n, d, gamma, seed = _checked(n, d, gamma, seed)
     if len(fr) < 1 or any(not (0.0 < f < 1.0) for f in fr):
         raise InvalidParamsError(f"fractions must lie in (0, 1), got {fr}")
     if not (0.0 <= gamma < 1.0):

@@ -336,6 +336,20 @@ def test_empty_file_diagnostic(tmp_path):
     assert "no data rows" in r.stderr
 
 
+@pytest.mark.parametrize("command", ["fit", "eval"])
+def test_comment_only_file_diagnostic(tmp_path, command):
+    # loadtxt reads no rows here and would only warn
+    path = tmp_path / "p.csv"
+    path.write_text("#only\n")
+    result = tmp_path / "r.json"
+    result.write_text('{"inliers": [0]}')
+    argv = ["fit", path, "--gamma", "0.2"] if command == "fit" else ["eval", result, path]
+    r = run(*map(str, argv))
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == f"mebo: error: {path}: no data rows\n"
+
+
 def test_gamma_too_large_for_n(tmp_path):
     # k >= n leaves nothing to cover
     pts = tmp_path / "p.csv"

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,22 @@ def test_k_exhausts_dataset():
         derive_params(Params(gamma=0.8), 5)
 
 
+def test_derive_given_inlier_count():
+    p = Params(gamma=0.2)
+    dp, own = derive_params(p, 1000, 600), derive_params(p, 1000)
+    assert (dp.h, dp.s) == (own.h, own.s)
+    assert (dp.k, dp.m) == (400, 600)
+    # m = n needs no far set, even where the default k would leave no inliers
+    assert derive_params(Params(gamma=0.8), 5, 5).k == 0
+
+
+@pytest.mark.parametrize("n, m", [(10.5, None), (True, None), (10, 0), (10, 11),
+                                  (10, 2.5), (10, True)])
+def test_derive_refuses_bad_counts(n, m):
+    with pytest.raises(InvalidParamsError):
+        derive_params(Params(gamma=0.1), n, m)
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(gamma=-0.1),
     dict(gamma=1.0),
@@ -117,6 +134,13 @@ def test_k_exhausts_dataset():
     dict(gamma=0.1, sequential_rounds=False),
     dict(gamma=0.1, seed=1.5),
     dict(gamma=0.1, seed=True),
+    # the real fields take real numbers only: no text, None, lists or bools
+    dict(gamma="0.1"),
+    dict(gamma=False),
+    dict(gamma=0.1, epsilon=[0.5]),
+    dict(gamma=0.1, delta=None),
+    dict(gamma=0.1, mu=True),
+    dict(gamma=0.1, mu=0.5 + 0j),
 ])
 def test_params_validation(kwargs):
     with pytest.raises(InvalidParamsError):
@@ -127,6 +151,12 @@ def test_params_accept_numpy_integers():
     p = Params(gamma=0.1, forest_size=np.int64(2), sequential_rounds=np.int32(0),
                seed=np.uint64(2**63))
     assert (p.forest_size, p.sequential_rounds, p.seed) == (2, 0, 2**63)
+
+
+def test_params_store_real_fields_as_floats():
+    p = Params(gamma=0, epsilon=np.float32(0.5), delta=np.float64(0.25), mu=Fraction(1, 2))
+    assert [type(v) for v in (p.gamma, p.epsilon, p.delta, p.mu)] == [float] * 4
+    assert (p.gamma, p.epsilon, p.delta, p.mu) == (0.0, 0.5, 0.25, 0.5)
 
 
 def test_errors_are_value_errors():

@@ -32,6 +32,9 @@ def test_classspec_validation():
         ClassSpec(fractions=(0.5, -0.1))
     with pytest.raises(InvalidParamsError):
         ClassSpec(fractions=(0.5, 1.2))
+    for bad in (["x"], [None], [True]):
+        with pytest.raises(InvalidParamsError):
+            ClassSpec(fractions=bad)
 
 
 def test_peel_budget_infeasible():
@@ -61,6 +64,20 @@ def test_peel_two_identical_clusters_exact():
         assert r.ball.radius == 0.0
         pts = ds.points[r.inliers]
         assert np.allclose(pts, pts[0])  # each class is one blob, not a mix
+
+
+def test_peel_stage_of_one_point():
+    # the whole set passes derive_params, and so does the last stage
+    # with m = n = 1, though its own default k = ceil(1.15 * 0.1) would
+    # leave that stage no inliers
+    pts = np.vstack([np.zeros((9, 2)), [[50.0, 50.0]]])
+    ds = Dataset(pts)
+    p = Params(gamma=0.1, seed=0)
+    out = peel(ds, ClassSpec(fractions=(0.85, 0.05)), p)
+    assert [r.inliers.tolist() for r in out] == [list(range(9)), [9]]
+    assert np.array_equal(out[1].ball.center, [50.0, 50.0])
+    assert out[1].ball.radius == 0.0
+    assert out[0].score == out[1].score == 0.0
 
 
 def test_peel_single_class_matches_recognize():

@@ -189,18 +189,26 @@ def test_child_draw_is_the_pool_draw(data, n, s, seed, tree_id):
         assert np.array_equal(got, rng.choice(pool, size=take, replace=False))
 
 
+def drive(ds, p, dp, roots, rounds=0):
+    """Every candidate the engine grows from roots under dp.  Params
+    alone cannot give these small trees: h >= 4 for every epsilon < 1."""
+    cands = []
+    mebo.recognition._drive(ds, p, dp, roots, rounds, out=cands)
+    return cands
+
+
 def test_tree_counts_small_overrides():
     ds = planted(60, 20, 3, seed=1)
     p = Params(gamma=0.1, seed=1)
     dp7 = DerivedParams(h=3, k=10, s=2, m=ds.n - 10)
-    assert len(grow_tree(ds, p, 4, derived=dp7)) == 7  # 1 + 2 + 4
+    assert len(drive(ds, p, dp7, [4])) == 7  # 1 + 2 + 4
     dp1 = DerivedParams(h=1, k=10, s=3, m=ds.n - 10)
-    only = grow_tree(ds, p, 4, derived=dp1)
+    only = drive(ds, p, dp1, [4])
     assert len(only) == 1
     assert only[0].path == (4,)
     assert np.array_equal(only[0].center, ds.points[4])
     dp2 = DerivedParams(h=2, k=10, s=1, m=ds.n - 10)
-    pair = grow_tree(ds, p, 4, derived=dp2)
+    pair = drive(ds, p, dp2, [4])
     assert len(pair) == 2  # root plus a single leaf
 
 
@@ -461,7 +469,8 @@ def test_boost_forest_small_tree_arithmetic():
     ds = planted(60, 20, 2, seed=12)
     p = Params(gamma=0.2, seed=1, forest_size=3)
     dp = DerivedParams(h=3, k=12, s=2, m=ds.n - 12)
-    cands = boost_forest(ds, p, derived=dp)
+    roots = mebo.recognition._random_roots(p.seed, ds.n, p.forest_size)
+    cands = drive(ds, p, dp, roots)
     assert len(cands) == 21  # 3 trees of 7
 
 
@@ -570,6 +579,21 @@ def test_recognize_radius_covers_exactly_m():
     s, inl = score_candidate(ds, res.ball.center, dp.m)
     assert res.score == pytest.approx(s, rel=1e-12)
     assert np.array_equal(res.inliers, inl)
+
+
+def test_recognize_given_inlier_count():
+    ds = planted(200, 50, 3, seed=19)
+    p = Params(gamma=0.2, seed=3)
+    res = recognize(ds, p, m=180)
+    assert len(res.inliers) == 180
+    assert res.ball.radius == k_smallest_distance(ds, res.ball.center, 180)
+
+
+@pytest.mark.parametrize("m", [0, 251, 2.5, True])
+def test_recognize_refuses_bad_inlier_count(m):
+    ds = planted(200, 50, 3, seed=19)
+    with pytest.raises(InvalidParamsError):
+        recognize(ds, Params(gamma=0.2, seed=3), m=m)
 
 
 def test_recognize_gamma_zero_plain_ball():

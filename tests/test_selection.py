@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mebo import (
     Dataset,
-    MeboError,
+    InvalidParamsError,
     Params,
     approx_meb_center,
     boost_sequential,
@@ -157,6 +157,7 @@ BAD_CENTERS = {
     "ragged": [[0.0], [0.0, 0.0]],
     "not numbers": ["a", 0.0],
     "complex": [1 + 2j, 0.0],
+    "complex array": np.array([1 + 2j, 0.0]),
     "mapping": {"x": 0.0},
     "nan": [np.nan, 0.0],
     "inf": [0.0, -np.inf],
@@ -171,6 +172,8 @@ CENTER_OPS = {
 # arrays from outside the library, read through one conversion rule
 UNREADABLE = {
     "complex": [[1 + 2j, 0.0]],
+    # numpy would keep the real part, with only a ComplexWarning
+    "complex array": np.array([[1 + 2j, 0.0]]),
     "text": [["a", 1.0]],
     "ragged": [[0.0], [0.0, 0.0]],
     "mapping": {"x": 0.0},
@@ -196,11 +199,11 @@ BAD_CALLS = {
 
 
 def _refuses(call):
-    """call raises a MeboError, and no numpy warning comes first."""
+    """call raises InvalidParamsError, and no numpy warning comes first."""
     ds = Dataset(np.random.default_rng(0).normal(size=(20, 2)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(MeboError):
+        with pytest.raises(InvalidParamsError):
             call(ds)
 
 

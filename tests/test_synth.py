@@ -89,6 +89,26 @@ def test_multiclass_validation():
         gen_multiclass(100, 5, (1.2, -0.2), 0.0, seed=0)
 
 
+# counts and seeds must be integers and gamma and fractions real numbers,
+# refused up front rather than by numpy deep inside a generator
+BAD_GENERATOR_CALLS = {
+    "highdim n=100.5": lambda: gen_highdim(100.5, 5, 0.2, seed=0),
+    "highdim d=True": lambda: gen_highdim(100, True, 0.2, seed=0),
+    "highdim gamma text": lambda: gen_highdim(100, 5, "0.1", seed=0),
+    "highdim seed=1.5": lambda: gen_highdim(100, 5, 0.2, seed=1.5),
+    "toy2d seed=-1": lambda: gen_toy_2d(-1),
+    "toy2d seed=2**64": lambda: gen_toy_2d(2**64),
+    "multiclass fraction None": lambda: gen_multiclass(100, 5, (None,), 0.1, seed=0),
+    "multiclass n=100.0": lambda: gen_multiclass(100.0, 5, (0.9,), 0.1, seed=0),
+}
+
+
+@pytest.mark.parametrize("call", BAD_GENERATOR_CALLS.values(), ids=BAD_GENERATOR_CALLS.keys())
+def test_generators_refuse_non_numbers(call):
+    with pytest.raises(InvalidParamsError):
+        call()
+
+
 def test_multiclass_determinism():
     a, la = gen_multiclass(600, 12, (0.4, 0.4), 0.2, seed=21)
     b, lb = gen_multiclass(600, 12, (0.4, 0.4), 0.2, seed=21)
