@@ -178,6 +178,19 @@ def as_real(name: str, value) -> float:
     raise InvalidParamsError(f"{name} must be a real number, got {value!r}")
 
 
+def as_real_tuple(name: str, value) -> tuple:
+    """value as a tuple of floats, each checked by as_real.  A lone
+    number, text and other values that are not a sequence are refused:
+    iterating over them would fail with a bare TypeError, or read text
+    one character at a time."""
+    if not isinstance(value, (str, bytes)):
+        try:
+            return tuple(as_real(name, v) for v in value)
+        except TypeError:
+            pass
+    raise InvalidParamsError(f"{name} must be a sequence of real numbers, got {value!r}")
+
+
 def as_reals(name: str, value) -> np.ndarray:
     """value as a float64 array (not copied if it is one); what numpy cannot
     read as reals raises InvalidParamsError, not a bare TypeError or ValueError.

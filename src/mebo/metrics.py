@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import InvalidParamsError
+from .core import InvalidParamsError, as_int
 
 __all__ = ["F1Result", "f1"]
 
@@ -57,7 +57,9 @@ def f1(predicted_inliers, true_inliers, n: int) -> F1Result:
     precision = |pred & true| / |pred|, recall = |pred & true| / |true|,
     f1 their harmonic mean (0 when both rates are 0).  An empty
     prediction yields 0 precision and sets the empty_prediction flag.
+    Indices must lie in [0, n), n an integer.
     """
+    n = as_int("n", n)
     pred = _as_index_set("predicted", predicted_inliers, n)
     true = _as_index_set("true", true_inliers, n)
     hits = np.intersect1d(pred, true, assume_unique=True).size

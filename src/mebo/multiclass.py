@@ -21,7 +21,7 @@ from .core import (
     RecognitionResult,
     SpecInfeasibleError,
     _ceil_snapped,
-    as_real,
+    as_real_tuple,
     derive_params,
 )
 from .recognition import recognize
@@ -37,7 +37,7 @@ class ClassSpec:
     fractions: tuple
 
     def __post_init__(self):
-        fr = tuple(as_real("class fractions", f) for f in self.fractions)
+        fr = as_real_tuple("class fractions", self.fractions)
         if len(fr) < 1:
             raise InvalidParamsError("need at least one class fraction")
         for f in fr:

@@ -33,7 +33,10 @@ which places the few points that rounding of the expanded distance
 could move across the pivot by their direct distance and the tie rule
 (lower index enters the far set).  A child is drawn by its index into
 its parent's far set less the path, found by binary search, so no
-pool of candidates is built per node.
+pool of candidates is built per node.  Each node's children are drawn
+from its own stream and noted as (parent row, child) pairs; the next
+layer's paths are then assembled once, the parents' paths gathered by
+row with the children as their last column.
 
 Randomness: every node owns a stream keyed by (tree id, shifted path),
 spawned from the user seed, so results depend on the input and the seed
@@ -93,7 +96,7 @@ def node_stream_key(tree_id: int, path) -> tuple:
     The shift keeps index 0 distinct from the reserved driver stream and
     from tree ids themselves.
     """
-    return (tree_id,) + tuple(int(i) + 1 for i in path)
+    return (tree_id, *[i + 1 for i in np.asarray(path).tolist()])
 
 
 def _random_roots(seed: int, n: int, size: int) -> np.ndarray:
@@ -178,8 +181,7 @@ def _path_centers(X: np.ndarray, paths: np.ndarray, iters: int,
             P = np.empty((min(step, L - a), depth, X.shape[1]))
             P[:, 0] = head
             P[:, 1:] = X[paths[a:a + step, 1:]]
-        for i, pts in enumerate(P, a):
-            C[i] = approx_meb_center(pts, iters)
+        C[a:a + step] = [approx_meb_center(pts, iters) for pts in P]
     return C
 
 
@@ -195,13 +197,15 @@ def _draw_children(seed: int, tree_id: int, far: np.ndarray, path: np.ndarray,
     j + r into far, r the number of those points at or before it.
     """
     on = far.searchsorted(path)
-    on = np.sort(on[far.take(on, mode="clip") == path])
+    on = on[far.take(on, mode="clip") == path]
     size = far.shape[0] - on.shape[0]
     take = min(s, size)
     if take == 0:
         return None
     j = make_node_rng(seed, node_stream_key(tree_id, path)).choice(size, take, replace=False)
-    j += (on - np.arange(on.shape[0])).searchsorted(j, side="right")
+    if on.shape[0]:
+        on.sort()
+        j += (on - np.arange(on.shape[0])).searchsorted(j, side="right")
     return far[j]
 
 
@@ -238,24 +242,26 @@ def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, tree_id: in
                 ctx.scores.setdefault(key, float(scores[j]))
                 if internal:
                     fars[key] = np.flatnonzero(near[j] == 0.0)
-        score = {i: ctx.scores[key] for key, i in first.items()}
+        score = [0.0] * len(rep)  # by the first row with each center
+        for key, i in first.items():
+            score[i] = ctx.scores[key]
         yield paths, C, [score[i] for i in rep]
         if not internal:
             break
-        far = {i: fars.setdefault(key, held.get(key)) for key, i in first.items()}
-        kids = []
-        for path, i in zip(paths, rep):
+        far = [None] * len(rep)  # by the first row with each center
+        for key, i in first.items():
+            far[i] = fars.setdefault(key, held.get(key))
+        # the next layer is each parent row's path extended by one child
+        parents, kids = [], []
+        for i, path in enumerate(paths):
             # paths never repeat a point
-            chosen = _draw_children(p.seed, tree_id, far[i], path, dp.s)
-            if chosen is None:
-                continue
-            block = np.empty((chosen.shape[0], depth + 1), dtype=np.int64)
-            block[:, :-1] = path
-            block[:, -1] = chosen
-            kids.append(block)
+            chosen = _draw_children(p.seed, tree_id, far[rep[i]], path, dp.s)
+            if chosen is not None:
+                parents += [i] * chosen.shape[0]
+                kids.append(chosen)
         if not kids:
             break
-        paths, held = np.concatenate(kids), fars
+        paths, held = np.column_stack((paths[parents], np.concatenate(kids))), fars
 
 
 def _drive(ds: Dataset, p: Params, dp: DerivedParams, roots, rounds: int,
@@ -277,7 +283,7 @@ def _drive(ds: Dataset, p: Params, dp: DerivedParams, roots, rounds: int,
         else:
             root, head = ctx.n + t - len(roots), best
         for paths, C, scores in _grow(ctx, p, dp, root, t, head):
-            i = min(range(len(scores)), key=scores.__getitem__)
+            i = scores.index(min(scores))
             if scores[i] < best_score:
                 best, best_score = C[i], scores[i]
             count += len(scores)

@@ -8,22 +8,25 @@ tree-growth engine all split through it, for one center or for a
 block of L centers at a time.
 
 The direct form costs a subtraction per coordinate, so split_far first
-orders the points by the expanded form |x|^2 - 2 x.c + |c|^2, which
-takes one GEMM for a whole block of centers (expanded_sq_dists).  An
+orders the points by the expanded form |x|^2 - 2 x.c, which takes one
+GEMM for a whole block of centers (expanded_sq_dists).  That block is
+one per-row constant, |c|^2, short of the squared distance; a constant
+orders no point before another, so no pass over the block adds it.  An
 introselect (np.partition) finds each row's pivot p, its k-th largest
-expanded value.  The expanded value differs from the direct one by
-rounding alone.  For d coordinates that error is at most
+expanded value.  The expanded value plus |c|^2 differs from the direct
+one by rounding alone.  For d coordinates that error is at most
 a*(2|x - c|^2 + 3|c|^2), with a = (3d + 6) units in the last place,
 since |x|^2 <= 2|x - c|^2 + 2|c|^2.  So a point whose expanded value is
-more than 8a*(|p| + |c|^2) from p falls on the same side of the split
-under both forms.  Only the points inside that band, almost always the
-pivot alone, are placed by their direct distance.  The split is thus
-the one the direct distances give, whatever the BLAS build, its thread
-count or the number of centers in a block, and however far the data
+more than 8a*(|p + |c|^2| + |c|^2) from p falls on the same side of the
+split under both forms.  Only the points inside that band, almost
+always the pivot alone, are placed by their direct distance.  The split
+is thus the one the direct distances give, whatever the BLAS build, its
+thread count or the number of centers in a block, and however far the data
 lies from the origin.
 
-For a block, split_far partitions one row at a time and reads the
-largest value left of the pivot and the smallest right of it.  It then
+For a block, split_far partitions a copy of a few rows at a time and
+reads each row's largest value left of the pivot and smallest right of
+it; these are the same whatever the order the partition leaves.  It then
 tests every row's band at once, splits every row at its pivot with one
 compare over the block, and splits again, from a copy of their
 distances, the rare rows whose pivot is not alone in its band.  Two
@@ -82,19 +85,20 @@ def check_center(X: np.ndarray, center) -> np.ndarray:
 
 def expanded_sq_dists(X: np.ndarray, sqn: np.ndarray, C: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """Squared distances |x|^2 - 2 x.c + |c|^2 of every row of X to a
-    block of centers, from one matrix product.
+    """|x|^2 - 2 x.c for every row x of X and every center c of a block,
+    from one matrix product: the squared distance short of |c|^2.
 
     C is an L x d block; the result is L x n, written into out when it
     is given.  sqn must be einsum("ij,ij->i", X, X); callers that score
-    many centers precompute it once.  The product is taken with -2C, so
-    the L x n block gets no scaling pass; -2 is a power of two, so that
-    product is -2 times C X^T bit for bit.  Values can round a few ulps
-    below zero for points nearly coincident with a center.
+    many centers precompute it once.  Each row of the block lacks only
+    its center's constant |c|^2, which orders no point before another,
+    so the block gets no pass that adds it; split_far adds it to the
+    pivot alone.  The product is taken with -2C, so the block gets no
+    scaling pass either; -2 is a power of two, so that product is -2
+    times C X^T bit for bit.
     """
     E = np.matmul(C * -2.0, X.T, out=out)
     E += sqn
-    E += np.einsum("ij,ij->i", C, C)[:, None]
     return E
 
 
@@ -105,31 +109,41 @@ def direct_sq_dists(X: np.ndarray, rows: np.ndarray, c: np.ndarray) -> np.ndarra
     return np.square(diff, out=diff).sum(axis=1)
 
 
+# split_far partitions copies of a block's rows this many bytes at a
+# time: one call per group of rows instead of per row, in a scratch that
+# stays small next to the block
+_SCRATCH_BYTES = 1 << 18
+
+
 def split_far(X: np.ndarray, C: np.ndarray, E: np.ndarray, k: int) -> np.ndarray:
     """Split the points at each center's k farthest, under the tie rule.
 
-    E holds the expanded squared distances of the rows of X to the
-    centers C (L x n, from expanded_sq_dists).  It is overwritten with
-    the split and returned: 1.0 at each center's n - k nearest points,
-    0.0 at its k farthest.
+    E holds |x|^2 - 2 x.c for the rows x of X and the centers c of C
+    (L x n, from expanded_sq_dists).  It is overwritten with the split
+    and returned: 1.0 at each center's n - k nearest points, 0.0 at its
+    k farthest.
     """
     L, n = E.shape
     m = n - k
-    scratch = np.empty(n)
+    step = max(1, _SCRATCH_BYTES // (8 * n))
+    scratch = np.empty((min(step, L), n))
     # each row's pivot p, and the largest value left of it and the
     # smallest right of it once the row is partitioned at p
     p, left, right = np.empty(L), np.full(L, -np.inf), np.full(L, np.inf)
-    for i, e in enumerate(E):
-        np.copyto(scratch, e)
-        scratch.partition(m)
-        p[i] = scratch[m]
+    for a in range(0, L, step):
+        part = scratch[:min(step, L - a)]
+        np.copyto(part, E[a:a + step])
+        part.partition(m, axis=1)
+        p[a:a + step] = part[:, m]
         if m > 0:
-            left[i] = scratch[:m].max()
+            left[a:a + step] = part[:, :m].max(axis=1)
         if k > 1:
-            right[i] = scratch[m + 1:].min()
-    # the band's half width over |p| + |c|^2: 8a for a = (3d + 6) ulps
+            right[a:a + step] = part[:, m + 1:].min(axis=1)
+    # the band's half width over |p + |c|^2| + |c|^2: 8a for a = (3d + 6)
+    # ulps, p + |c|^2 being the pivot's expanded squared distance
     half = (12.0 * X.shape[1] + 24.0) * np.finfo(np.float64).eps
-    w = half * (np.abs(p) + np.einsum("ij,ij->i", C, C))
+    cc = np.einsum("ij,ij->i", C, C)
+    w = half * (np.abs(p + cc) + cc)
     lo, hi = p - w, p + w
     wide = ~np.isfinite(w)
     lo[wide], hi[wide] = -np.inf, np.inf

@@ -6,6 +6,8 @@ come first and use only hand-derivable geometry.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mebo import EmptySubsetError, InvalidParamsError, approx_meb_center
 from meb_oracle import (
@@ -113,6 +115,70 @@ def test_iterates_match_single_center():
             c = approx_meb_center(pts, t)
             assert c.tobytes() == it[t - 1].tobytes()
             assert not np.shares_memory(c, pts)  # a new array, not a view
+
+
+@st.composite
+def point_sets(draw):
+    """1-6 rows in 1-120 dimensions: floats, or a small integer grid whose
+    distances tie exactly, with rows drawn again to repeat them."""
+    rows, d = draw(st.integers(1, 6)), draw(st.integers(1, 120))
+    elements = draw(st.sampled_from([
+        st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False),
+        st.integers(-2, 2).map(float),
+    ]))
+    base = draw(hnp.arrays(np.float64, (rows, d), elements=elements))
+    order = draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=6))
+    return base[order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets(), st.integers(1, 4))
+def test_center_is_the_oracle_recurrence(pts, iters):
+    c = approx_meb_center(pts, iters)
+    assert c.tobytes() == meb_iterates(pts, iters)[-1].tobytes()
+    assert not np.shares_memory(c, pts)
+
+
+def test_near_ties_go_as_in_the_oracle():
+    # rows 1 and 2 lie at the same distance from row 0 up to rounding, so
+    # which is farther depends on the order a row's squares are summed in:
+    # in about 2 of 5 such sets np.vecdot's order picks the other row, and
+    # so does einsum's over a Fortran-ordered copy
+    rng = np.random.default_rng(2)
+    for _ in range(200):
+        d = int(rng.integers(2, 121))
+        base, step = rng.normal(size=d), rng.normal(size=d)
+        pts = np.stack([base, base + step, base + step[rng.permutation(d)]])
+        it = meb_iterates(pts, 4)
+        for iters in (2, 3, 4):
+            want = it[iters - 1].tobytes()
+            assert approx_meb_center(pts, iters).tobytes() == want
+            assert approx_meb_center(np.asfortranarray(pts), iters).tobytes() == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_sets(), st.integers(1, 4))
+def test_center_of_any_input_form_is_the_float64_one(pts, iters):
+    want = approx_meb_center(pts, iters).tobytes()
+    assert approx_meb_center(pts.tolist(), iters).tobytes() == want
+    wide = np.repeat(pts, 2, axis=1)
+    for view in (wide[:, ::2], np.asfortranarray(pts)):
+        assert approx_meb_center(view, iters).tobytes() == want
+    if pts.shape[0] == 1:
+        assert approx_meb_center(pts[0], iters).tobytes() == want
+    f32 = np.clip(pts, -3e38, 3e38).astype(np.float32)
+    assert (approx_meb_center(f32, iters).tobytes()
+            == approx_meb_center(f32.astype(np.float64), iters).tobytes())
+
+
+def test_complex_and_empty_input_refused():
+    for bad in (np.zeros((2, 2), dtype=complex), np.zeros((2, 2), dtype=np.complex64),
+                [[1 + 2j, 0.0]]):
+        with pytest.raises(InvalidParamsError):
+            approx_meb_center(bad, 2)
+    for empty in (np.zeros((2, 0)), [], [[]], np.float64(1.0), np.zeros((2, 2, 2))):
+        with pytest.raises(EmptySubsetError):
+            approx_meb_center(empty, 2)
 
 
 def test_single_point_fixed_point():

@@ -73,6 +73,16 @@ def test_indices_must_be_integers(bad):
             f1(*args)
 
 
+@pytest.mark.parametrize("n", ["5", True, 5.0, None], ids=repr)
+def test_n_must_be_an_integer(n):
+    with pytest.raises(InvalidParamsError, match="n must be an integer"):
+        f1([1], [1], n)
+
+
+def test_n_of_any_integer_type():
+    assert f1([1], [1], np.int64(5)) == f1([1], [1], 5) == (1.0, 1.0, 1.0)
+
+
 def test_integer_arrays_of_any_width():
     for dt in (np.int8, np.uint16, np.int64, np.uint64):
         assert f1(np.array([1, 2], dtype=dt), [1], 3) == f1([1, 2], [1], 3)

@@ -37,6 +37,12 @@ def test_classspec_validation():
             ClassSpec(fractions=bad)
 
 
+@pytest.mark.parametrize("bad", [0.5, np.float64(0.5), "0.5", None], ids=repr)
+def test_classspec_fractions_must_be_a_sequence(bad):
+    with pytest.raises(InvalidParamsError, match="must be a sequence"):
+        ClassSpec(bad)
+
+
 def test_peel_budget_infeasible():
     ds = two_far_blobs()
     with pytest.raises(SpecInfeasibleError):

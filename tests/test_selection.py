@@ -71,6 +71,28 @@ def test_matches_sort_oracle_on_shifted_data():
         assert pivot == opivot
 
 
+@pytest.mark.parametrize("scale", [2.0**-40, 1.0, 2.0**40], ids=["2^-40", "1", "2^40"])
+def test_matches_sort_oracle_where_the_center_norm_dominates(scale):
+    # 1e6 from the origin |c|^2 is about 1e12 times the pivot distance, so
+    # the band around the pivot is sized by p + |c|^2, the pivot's expanded
+    # squared distance; the scales are powers of two, so the grid's exact
+    # ties stay exact
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 6))
+        if seed % 2:
+            X = (rng.normal(size=(200, d)) + 1e6) * scale
+            c = X.mean(axis=0) + 0.1 * scale * rng.normal(size=d)
+        else:
+            X = (rng.integers(-3, 4, size=(200, d)) + 1e6) * scale
+            c = X[seed] if seed % 4 else (np.full(d, 1e6) + 0.5) * scale
+        for k in (1, 30, 199):
+            idx, pivot = top_k_farthest(Dataset(X), c, k)
+            oidx, opivot = sort_oracle(X, c, k)
+            assert np.array_equal(idx, oidx)
+            assert pivot == opivot
+
+
 def test_tie_rule_lowest_index_first():
     # four points at equal distance, one farther, one nearer
     X = np.array([[2.0], [1.0], [-1.0], [1.0], [-1.0], [0.5]])

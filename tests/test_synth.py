@@ -109,6 +109,12 @@ def test_generators_refuse_non_numbers(call):
         call()
 
 
+@pytest.mark.parametrize("bad", [0.5, np.float64(0.5), "0.5"], ids=repr)
+def test_multiclass_fractions_must_be_a_sequence(bad):
+    with pytest.raises(InvalidParamsError, match="must be a sequence"):
+        gen_multiclass(100, 5, bad, 0.5, 0)
+
+
 def test_multiclass_determinism():
     a, la = gen_multiclass(600, 12, (0.4, 0.4), 0.2, seed=21)
     b, lb = gen_multiclass(600, 12, (0.4, 0.4), 0.2, seed=21)
