@@ -26,19 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, MeboError, Params, derive_params
-from .metrics import f1
+from .core import Dataset, MeboError, Params, as_int, derive_params
+from .metrics import as_index_set, f1
 from .multiclass import ClassSpec, peel
 from .recognition import recognize
 from .synth import gen_highdim, gen_multiclass, gen_toy_2d
 
 __all__ = ["main", "entry", "cmd_gen", "cmd_fit", "cmd_multifit", "cmd_eval", "cmd_bench"]
-
-
-class _Fail(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,13 +60,13 @@ def _scan_csv(path: str, lines: list, cell: type, refusal: ValueError):
                 continue
             width = width or cells.size
             if cells.size != width:
-                raise _Fail(1, f"{path}: row {i} has {cells.size} columns, expected {width}")
+                raise MeboError(f"{path}: row {i} has {cells.size} columns, expected {width}")
             if _refuses(line, cell):
                 for j in range(width):
                     if _refuses(line, cell, usecols=j):
-                        raise _Fail(1, f"{path}: row {i}, column {j + 1}: "
-                                       f"not a valid number: {cells[j].strip()!r}")
-    raise _Fail(1, f"{path}: {refusal}")
+                        raise MeboError(f"{path}: row {i}, column {j + 1}: "
+                                        f"not a valid number: {cells[j].strip()!r}")
+    raise MeboError(f"{path}: {refusal}")
 
 
 def _refuses(line: str, cell: type, **kw) -> bool:
@@ -86,10 +80,8 @@ def _refuses(line: str, cell: type, **kw) -> bool:
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _Fail(2, f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
-        raise _Fail(1, f"{path}: not UTF-8 text") from None
+        raise MeboError(f"{path}: not UTF-8 text") from None
 
 
 def _load_csv(path: str, cell: type) -> np.ndarray:
@@ -104,24 +96,17 @@ def _load_csv(path: str, cell: type) -> np.ndarray:
     except ValueError as exc:
         _scan_csv(path, lines, cell, exc)
     if rows.shape[0] == 0:
-        raise _Fail(1, f"{path}: no data rows")
+        raise MeboError(f"{path}: no data rows")
     if cell is float:
         return rows
     if rows.shape[1] != 1:
-        raise _Fail(1, f"{path}: expected one label per row, got {rows.shape[1]} columns")
+        raise MeboError(f"{path}: expected one label per row, got {rows.shape[1]} columns")
     return rows[:, 0]
-
-
-def _write_text(path, text: str):
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise _Fail(2, f"{path}: {exc.strerror or exc}") from None
 
 
 def _emit(args, text: str):
     if getattr(args, "out", None):
-        _write_text(args.out, text)
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -176,7 +161,7 @@ def _parse_list(text: str, cell: type, name: str) -> list:
     try:
         return [cell(c) for c in text.split(",")]
     except ValueError:
-        raise _Fail(1, f"bad {name} list: {text!r}") from None
+        raise MeboError(f"bad {name} list: {text!r}") from None
 
 
 # ----------------------------------------------------------- commands
@@ -192,11 +177,8 @@ def cmd_gen(args) -> int:
         ds, labels = gen_multiclass(args.n, args.d, fr, args.gamma, args.seed)
     out = Path(args.out)
     labels_path = out.with_name(out.stem + ".labels" + (out.suffix or ".csv"))
-    try:
-        np.savetxt(out, ds.points, fmt="%.10g", delimiter=",")
-        np.savetxt(labels_path, labels, fmt="%d")
-    except OSError as exc:
-        raise _Fail(2, f"{exc.filename or args.out}: {exc.strerror or exc}") from None
+    np.savetxt(out, ds.points, fmt="%.10g", delimiter=",")
+    np.savetxt(labels_path, labels, fmt="%d")
     print(f"wrote {out} ({ds.n} rows) and {labels_path}", file=sys.stderr)
     return 0
 
@@ -246,17 +228,17 @@ def cmd_multifit(args) -> int:
     return 0
 
 
-def _match_classes(result_classes, labels):
-    """Greedily pair each fitted class with the unused true class of
-    largest overlap; deterministic (ties break on the smaller label)."""
+def _match_classes(preds, labels):
+    """Greedily pair each fitted class's inlier set with the unused true
+    class of largest overlap; deterministic (ties break on the smaller
+    label)."""
     true_sets = {}
     for lab in np.unique(labels):
         if lab >= 1:
             true_sets[int(lab)] = np.flatnonzero(labels == lab)
     used = set()
     pairs = []
-    for rec in result_classes:
-        pred = np.asarray(rec["inliers"], dtype=np.int64)
+    for pred in preds:
         best_lab, best_hit = None, -1
         for lab in sorted(true_sets):
             if lab in used:
@@ -270,36 +252,27 @@ def _match_classes(result_classes, labels):
     return pairs, true_sets
 
 
-def _check_inliers(path: str, value, where: str) -> None:
-    """An "inliers" value must be a list of 64-bit integers (not bools or
-    floats); range against the labels is checked when F1 is computed."""
-    if not isinstance(value, list) or not all(
-            type(i) is int and -2**63 <= i < 2**63 for i in value):
-        raise _Fail(1, f'{path}: {where}"inliers" must be a list of integers')
-
-
 def cmd_eval(args) -> int:
     text = _read_text(args.result)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _Fail(1, f"{args.result}: bad JSON: {exc}") from None
+        raise MeboError(f"{args.result}: bad JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise _Fail(1, f"{args.result}: expected a JSON object at the top level")
+        raise MeboError(f"{args.result}: expected a JSON object at the top level")
     if "classes" in doc:
         classes = doc["classes"]
         if not isinstance(classes, list) or not classes:
-            raise _Fail(1, f'{args.result}: "classes" must be a nonempty list')
+            raise MeboError(f'{args.result}: "classes" must be a nonempty list')
         for j, rec in enumerate(classes, 1):
             if not isinstance(rec, dict) or "inliers" not in rec:
-                raise _Fail(1, f'{args.result}: class {j} has no "inliers" list')
-            _check_inliers(args.result, rec["inliers"], f"class {j}: ")
-    else:
-        _check_inliers(args.result, doc.get("inliers", []), "")
+                raise MeboError(f'{args.result}: class {j} has no "inliers" list')
     labels = _load_csv(args.labels, int)
     n = labels.shape[0]
     if "classes" in doc:
-        pairs, true_sets = _match_classes(doc["classes"], labels)
+        preds = [as_index_set(f"{args.result}: class {j}: inlier", rec["inliers"], n)
+                 for j, rec in enumerate(doc["classes"], 1)]
+        pairs, true_sets = _match_classes(preds, labels)
         per_class = []
         scores = []
         for pred, lab in pairs:
@@ -318,7 +291,7 @@ def cmd_eval(args) -> int:
             "n": int(n),
         }
     else:
-        pred = doc.get("inliers", [])
+        pred = as_index_set(f"{args.result}: inlier", doc.get("inliers", []), n)
         true = np.flatnonzero(labels >= 1)
         r = f1(pred, true, n)
         out = {
@@ -326,7 +299,7 @@ def cmd_eval(args) -> int:
             "recall": r.recall,
             "f1": r.f1,
             "empty_prediction": r.empty_prediction,
-            "predicted_count": int(np.unique(np.asarray(pred, dtype=np.int64)).size),
+            "predicted_count": int(pred.size),
             "true_count": int(true.size),
             "n": int(n),
         }
@@ -337,8 +310,8 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     sizes = _parse_list(args.sizes, int, "--sizes")
     dims = _parse_list(args.dims, int, "--dims")
-    if args.runs < 1 or args.warmup < 0:
-        raise _Fail(1, "--runs must be >= 1 and --warmup >= 0")
+    as_int("--runs", args.runs, 1)
+    as_int("--warmup", args.warmup, 0)
     p = _params_from(args)
     lines = ["n,d,runs,median_ms"]
     for n in sizes:
@@ -412,14 +385,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except _Fail as exc:
-        print(f"mebo: error: {exc}", file=sys.stderr)
-        return exc.code
     except MeboError as exc:
         print(f"mebo: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        print(f"mebo: error: {exc}", file=sys.stderr)
+        # the one place a file that cannot be read or written is reported
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"mebo: error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

@@ -137,10 +137,8 @@ class Params:
                 f"(1+delta)*gamma = {(1 + self.delta) * self.gamma:.6g} must stay below 1, "
                 "otherwise no inliers remain"
             )
-        if as_int("forest_size", self.forest_size) < 1:
-            raise InvalidParamsError(f"forest_size must be >= 1, got {self.forest_size}")
-        if as_int("sequential_rounds", self.sequential_rounds) < 0:
-            raise InvalidParamsError(f"sequential_rounds must be >= 0, got {self.sequential_rounds}")
+        as_int("forest_size", self.forest_size, 1)
+        as_int("sequential_rounds", self.sequential_rounds, 0)
         as_seed(self.seed)
 
     @property
@@ -149,24 +147,31 @@ class Params:
         return _ceil_snapped(1.0 / (self.epsilon * self.epsilon))
 
 
-def as_int(name: str, value) -> int:
-    """value as an int.  Bools, floats and other non-integers are
-    refused, not truncated: numpy would fail on them later, deep inside
-    a fit."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
+def as_int(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """value as an int in [lo, hi]; hi None leaves it unbounded above,
+    and lo None (with hi None) leaves it unbounded.
+
+    Bools, floats and other non-integers are refused, not truncated:
+    numpy would fail on them later, deep inside a fit.  This is the one
+    place a count is checked against its range, and every refusal reads
+    `<name> must be in [lo, hi], got v` or `<name> must be >= lo, got v`.
+    """
+    if isinstance(value, bool):
+        raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
+    try:
+        v = operator.index(value)
+    except TypeError:
+        raise InvalidParamsError(f"{name} must be an integer, got {value!r}") from None
+    if hi is not None and not (lo <= v <= hi):
+        raise InvalidParamsError(f"{name} must be in [{lo}, {hi}], got {v}")
+    if lo is not None and v < lo:
+        raise InvalidParamsError(f"{name} must be >= {lo}, got {v}")
+    return v
 
 
 def as_seed(value) -> int:
     """value as a random seed, an integer in [0, 2^64)."""
-    seed = as_int("seed", value)
-    if not (0 <= seed < 2**64):
-        raise InvalidParamsError("seed must fit in 64 unsigned bits")
-    return seed
+    return as_int("seed", value, 0, 2**64 - 1)
 
 
 def as_real(name: str, value) -> float:
@@ -240,10 +245,8 @@ def derive_params(p: Params, n: int, m: int | None = None) -> DerivedParams:
     h = _ceil_snapped(2.0 / p.epsilon) + 1
     if m is None:
         k = _ceil_snapped((1.0 + p.delta) * p.gamma * n)
-    elif not (1 <= as_int("m", m) <= n):
-        raise InvalidParamsError(f"m must be in [1, {n}], got {m}")
     else:
-        k = n - int(m)
+        k = n - as_int("m", m, 1, n)
     if k >= n:
         raise DegenerateDatasetError(
             f"top-k count k={k} leaves no inliers out of n={n}; lower gamma or delta"

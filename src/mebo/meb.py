@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import EmptySubsetError, InvalidParamsError, as_int, as_reals
+from .core import EmptySubsetError, as_int, as_reals
 
 __all__ = ["approx_meb_center"]
 
@@ -45,10 +45,8 @@ def approx_meb_center(points, iters: int) -> np.ndarray:
         pts = pts[None, :]
     if pts.ndim != 2 or pts.size == 0:
         raise EmptySubsetError("need a nonempty 2-d array of points")
-    if type(iters) is not int:
-        iters = as_int("iters", iters)
-    if iters < 1:
-        raise InvalidParamsError(f"iters must be >= 1, got {iters}")
+    if type(iters) is not int or iters < 1:
+        iters = as_int("iters", iters, 1)
     c = pts[0]
     for t in range(1, iters):
         diff = pts - c

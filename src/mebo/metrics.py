@@ -34,18 +34,25 @@ class F1Result(tuple):
         return self[2]
 
 
-def _as_index_set(name: str, idx, n: int) -> np.ndarray:
+def as_index_set(name: str, idx, n: int) -> np.ndarray:
     """idx as a sorted set of row indices in [0, n).  They must be
-    integers in a sequence, as `mebo eval` demands of a result file:
-    a lone integer, bools and floats are refused, not truncated."""
-    a = np.asarray(idx)
+    integers in a flat sequence, for f1 and for each inlier list `mebo
+    eval` reads: a lone integer, nested lists, bools and floats are
+    refused, not truncated."""
+    refused = InvalidParamsError(f"{name} indices must be integers in a sequence")
+    try:
+        a = np.asarray(idx)
+    except ValueError:  # sequences nested to uneven depths
+        raise refused from None
+    if a.ndim != 1:
+        raise refused
     if a.size == 0:
         return np.empty(0, dtype=np.int64)
-    if a.ndim == 0 or a.dtype.kind not in "iu" or (
+    if a.dtype.kind not in "iu" or (
             not isinstance(idx, np.ndarray)
-            and any(isinstance(i, (bool, np.bool_)) for i in np.asarray(idx, dtype=object).flat)):
-        raise InvalidParamsError(f"{name} indices must be integers in a sequence")
-    a = np.unique(a.ravel())
+            and any(isinstance(i, (bool, np.bool_)) for i in np.asarray(idx, dtype=object))):
+        raise refused
+    a = np.unique(a)
     if a[0] < 0 or a[-1] >= n:
         raise InvalidParamsError(f"{name} indices must lie in [0, {n})")
     return a.astype(np.int64)
@@ -57,11 +64,11 @@ def f1(predicted_inliers, true_inliers, n: int) -> F1Result:
     precision = |pred & true| / |pred|, recall = |pred & true| / |true|,
     f1 their harmonic mean (0 when both rates are 0).  An empty
     prediction yields 0 precision and sets the empty_prediction flag.
-    Indices must lie in [0, n), n an integer.
+    Indices must lie in [0, n), n an integer >= 0.
     """
-    n = as_int("n", n)
-    pred = _as_index_set("predicted", predicted_inliers, n)
-    true = _as_index_set("true", true_inliers, n)
+    n = as_int("n", n, 0)
+    pred = as_index_set("predicted", predicted_inliers, n)
+    true = as_index_set("true", true_inliers, n)
     hits = np.intersect1d(pred, true, assume_unique=True).size
     empty = pred.size == 0
     precision = 0.0 if empty else hits / pred.size

@@ -56,7 +56,6 @@ from .core import (
     Candidate,
     Dataset,
     DerivedParams,
-    InvalidParamsError,
     Params,
     RecognitionResult,
     as_int,
@@ -295,10 +294,9 @@ def _drive(ds: Dataset, p: Params, dp: DerivedParams, roots, rounds: int,
 
 def grow_tree(ds: Dataset, p: Params, root_index: int) -> list:
     """All candidates of one tree rooted at a dataset point."""
-    if not (0 <= as_int("root_index", root_index) < ds.n):
-        raise InvalidParamsError(f"root_index must be in [0, {ds.n}), got {root_index}")
+    root = as_int("root_index", root_index, 0, ds.n - 1)
     cands = []
-    _drive(ds, p, derive_params(p, ds.n), [root_index], 0, out=cands)
+    _drive(ds, p, derive_params(p, ds.n), [root], 0, out=cands)
     return cands
 
 
@@ -311,8 +309,7 @@ def score_candidate(ds: Dataset, center, m: int):
     those points to their own centroid (trace of their covariance),
     computed in a plain two-pass fashion.
     """
-    if not (1 <= as_int("m", m) <= ds.n):
-        raise InvalidParamsError(f"m must be in [1, {ds.n}], got {m}")
+    m = as_int("m", m, 1, ds.n)
     c = check_center(ds.points, center)
     if m == ds.n:
         inliers = np.arange(ds.n)
@@ -337,19 +334,18 @@ def boost_forest(ds: Dataset, p: Params) -> list:
     return cands
 
 
-def boost_sequential(ds: Dataset, p: Params, rounds: int) -> list:
-    """Sequential boosting: each round re-roots at the best center so far.
+def boost_sequential(ds: Dataset, p: Params) -> list:
+    """Candidates of 1 + sequential_rounds trees, each after the first
+    re-rooted at the best center so far.
 
     Round 1 grows from a random dataset point.  Later rounds root at the
     minimum-score candidate center found so far, treated as a virtual
     point that participates in every path's ball computation but never
     appears among reported path indices.
     """
-    if as_int("rounds", rounds) < 1:
-        raise InvalidParamsError(f"rounds must be >= 1, got {rounds}")
     cands = []
-    _drive(ds, p, derive_params(p, ds.n), _random_roots(p.seed, ds.n, 1), rounds - 1,
-           out=cands)
+    _drive(ds, p, derive_params(p, ds.n), _random_roots(p.seed, ds.n, 1),
+           p.sequential_rounds, out=cands)
     return cands
 
 

@@ -121,7 +121,10 @@ def split_far(X: np.ndarray, C: np.ndarray, E: np.ndarray, k: int) -> np.ndarray
     E holds |x|^2 - 2 x.c for the rows x of X and the centers c of C
     (L x n, from expanded_sq_dists).  It is overwritten with the split
     and returned: 1.0 at each center's n - k nearest points, 0.0 at its
-    k farthest.
+    k farthest.  X and C must be within check_magnitude's limit, as every
+    caller makes sure: then |x|^2 and |c|^2 are at most float max / 4n,
+    so every entry of E, each pivot p, |c|^2 and the band's width are
+    at most float max / n, and finite.
     """
     L, n = E.shape
     m = n - k
@@ -145,8 +148,6 @@ def split_far(X: np.ndarray, C: np.ndarray, E: np.ndarray, k: int) -> np.ndarray
     cc = np.einsum("ij,ij->i", C, C)
     w = half * (np.abs(p + cc) + cc)
     lo, hi = p - w, p + w
-    wide = ~np.isfinite(w)
-    lo[wide], hi[wide] = -np.inf, np.inf
     # where the pivot is alone in its band, the split is at the pivot;
     # the other rows are split again from a copy of their distances
     rows = np.flatnonzero(~((left < lo) & (right > hi)))
@@ -154,7 +155,7 @@ def split_far(X: np.ndarray, C: np.ndarray, E: np.ndarray, k: int) -> np.ndarray
     np.less(E, p[:, None], out=E)
     for i, e in zip(rows, banded):
         far = e > hi[i]
-        band = np.flatnonzero(~((e < lo[i]) | far))  # NaN from overflow too
+        band = np.flatnonzero(~((e < lo[i]) | far))
         d2 = direct_sq_dists(X, band, C[i])
         # the tie rule: farthest first and, at equal distance, the lower
         # index first (a stable sort of the ascending band indices)
@@ -171,8 +172,7 @@ def top_k_farthest(ds: Dataset, center, k: int) -> tuple[np.ndarray, float]:
     distances are >= every excluded point's distance, and the k-th
     largest distance itself.  Pivot-distance ties go to lower indices.
     """
-    if not (1 <= as_int("k", k) <= ds.n):
-        raise InvalidParamsError(f"k must be in [1, {ds.n}], got {k}")
+    k = as_int("k", k, 1, ds.n)
     X = ds.points
     C = check_center(X, center)[None, :]
     E = expanded_sq_dists(X, np.einsum("ij,ij->i", X, X), C)
@@ -182,7 +182,6 @@ def top_k_farthest(ds: Dataset, center, k: int) -> tuple[np.ndarray, float]:
 
 def k_smallest_distance(ds: Dataset, center, m: int) -> float:
     """Distance from center to its m-th nearest dataset point."""
-    if not (1 <= as_int("m", m) <= ds.n):
-        raise InvalidParamsError(f"m must be in [1, {ds.n}], got {m}")
+    m = as_int("m", m, 1, ds.n)
     # the m-th nearest is the (n - m + 1)-th farthest
     return top_k_farthest(ds, center, ds.n - m + 1)[1]

@@ -28,10 +28,7 @@ def _group_sizes(total: int, parts: int) -> np.ndarray:
 def _checked(n, d, gamma, seed):
     """The shared arguments as ints n, d >= 1, a float gamma and a seed;
     anything else raises InvalidParamsError."""
-    n, d = as_int("n", n), as_int("d", d)
-    if n < 1 or d < 1:
-        raise InvalidParamsError(f"n and d must be positive, got n={n}, d={d}")
-    return n, d, as_real("gamma", gamma), as_seed(seed)
+    return as_int("n", n, 1), as_int("d", d, 1), as_real("gamma", gamma), as_seed(seed)
 
 
 def _one_ball_with_outliers(seed: int, n_in: int, sizes, d: int):

@@ -181,6 +181,8 @@ def test_eval_bad_json(tmp_path):
     {"classes": []}, [1, 2], {"classes": [{"size": 3}]},
     {"inliers": ["a"]}, {"inliers": [1.5]}, {"inliers": 3},
     {"classes": [{"inliers": ["x"]}]}, {"inliers": [10**30]},
+    {"inliers": [[0, 1]]}, {"inliers": [[0], [1, 2]]}, {"inliers": [5]},
+    {"classes": [{"inliers": [0]}, {"inliers": [-1]}]},
 ])
 def test_eval_malformed_result(tmp_path, doc):
     bad = tmp_path / "r.json"
@@ -286,6 +288,28 @@ def test_missing_points_file_exit_2(tmp_path):
     assert "mebo: error" in r.stderr
 
 
+@pytest.mark.parametrize("command", ["gen", "fit"])
+def test_unwritable_out_exit_2(tmp_path, command):
+    out = tmp_path / "missing" / "out.csv"
+    if command == "gen":
+        r = run("gen", "toy2d", "--out", str(out))
+    else:
+        pts = tmp_path / "p.csv"
+        write_planted(pts)
+        r = run("fit", str(pts), "--gamma", "0.25", "--out", str(out))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.endswith(f"mebo: error: {out}: No such file or directory\n")
+
+
+@pytest.mark.parametrize("flags", [["--runs", "0"], ["--warmup", "-1"]])
+def test_bench_bad_counts_exit_1(flags):
+    r = run("bench", "--sizes", "50", "--dims", "2", *flags)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("mebo: error: ") and flags[0] in r.stderr
+
+
 def test_bad_gamma_exit_1(tmp_path):
     pts = tmp_path / "p.csv"
     write_planted(pts)
@@ -302,11 +326,13 @@ def test_unknown_flag_exit_1(tmp_path):
 
 
 def test_ragged_csv_diagnostic(tmp_path):
+    # rows are lines of the file, comment and blank lines counted
     pts = tmp_path / "p.csv"
-    pts.write_text("1,2\n3,4,5\n")
-    r = run("fit", str(pts), "--gamma", "0.2")
-    assert r.returncode == 1
-    assert "row 2 has 3 columns, expected 2" in r.stderr
+    for text, row in (("1,2\n3,4,5\n", 2), ("# c\n1,2\n\n3,4,5\n", 4)):
+        pts.write_text(text)
+        r = run("fit", str(pts), "--gamma", "0.2")
+        assert r.returncode == 1
+        assert r.stderr == f"mebo: error: {pts}: row {row} has 3 columns, expected 2\n"
 
 
 # loadtxt refuses 1_0 and the fullwidth digit, which Python's float and int take
@@ -317,15 +343,18 @@ def test_non_numeric_cell_diagnostic(tmp_path, kind, cell):
     result = tmp_path / "r.json"
     result.write_text('{"inliers": [0]}')
     if kind == "points":
-        path.write_text(f"1,{cell}\n2,3\n")
-        r = run("fit", str(path), "--gamma", "0.2")
+        # rows are lines of the file, comment and blank lines counted
+        cases = [(f"1,{cell}\n2,3\n", "row 1, column 2"),
+                 (f"# head\n1,2\n\n3,{cell}\n", "row 4, column 2")]
     else:
-        path.write_text(f"1\n{cell}\n")
-        r = run("eval", str(result), str(path))
-    assert r.returncode == 1
-    assert r.stdout == ""
-    where = "row 1, column 2" if kind == "points" else "row 2, column 1"
-    assert r.stderr == f"mebo: error: {path}: {where}: not a valid number: {cell!r}\n"
+        cases = [(f"1\n{cell}\n", "row 2, column 1")]
+    for text, where in cases:
+        path.write_text(text)
+        argv = ["fit", path, "--gamma", "0.2"] if kind == "points" else ["eval", result, path]
+        r = run(*map(str, argv))
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == f"mebo: error: {path}: {where}: not a valid number: {cell!r}\n"
 
 
 def test_empty_file_diagnostic(tmp_path):

@@ -114,6 +114,11 @@ def test_derive_refuses_bad_counts(n, m):
         derive_params(Params(gamma=0.1), n, m)
 
 
+def test_derive_refuses_empty_dataset():
+    with pytest.raises(DegenerateDatasetError, match="need at least one point"):
+        derive_params(Params(gamma=0.1), 0)
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(gamma=-0.1),
     dict(gamma=1.0),
@@ -195,6 +200,8 @@ def test_ball():
         Ball(center=np.array([0.0]), radius=-1.0)
     with pytest.raises(InvalidParamsError):
         Ball(center=np.array([[0.0]]), radius=1.0)
+    with pytest.raises(InvalidParamsError, match="finite"):
+        Ball(center=[np.inf], radius=1.0)
 
 
 def test_s_formula_value():

@@ -10,6 +10,7 @@ two passes.
 import importlib.util
 import json
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from mebo import (
     ClassSpec,
     k_smallest_distance,
     Dataset,
+    DegenerateDatasetError,
     DerivedParams,
     InvalidParamsError,
     MeboError,
@@ -131,8 +133,8 @@ def test_one_center_call_per_node(monkeypatch, fit):
         recognize(ds, p)
         trees = p.forest_size + p.sequential_rounds
     elif fit == "boost_sequential":
-        boost_sequential(ds, p, 3)  # two rounds with a virtual root
-        trees = 3
+        boost_sequential(ds, p)  # two rounds with a virtual root
+        trees = 1 + p.sequential_rounds
     else:
         ds, _ = gen_multiclass(600, 5, (0.45, 0.45), 0.1, 4)
         peel(ds, ClassSpec(fractions=(0.45, 0.45)), p)
@@ -316,7 +318,7 @@ def test_each_center_scored_once(monkeypatch):
 def test_recognize_winner_is_first_minimum():
     ds = planted(150, 50, 4, seed=14)
     p = Params(gamma=0.25, seed=6, forest_size=1, sequential_rounds=2)
-    cands = boost_sequential(ds, p, rounds=p.sequential_rounds + 1)
+    cands = boost_sequential(ds, p)
     best = min(range(len(cands)), key=lambda i: cands[i].score)
     res = recognize(ds, p)
     assert res.candidates_evaluated == len(cands)
@@ -477,7 +479,7 @@ def test_boost_forest_small_tree_arithmetic():
 def test_boost_sequential_round1_is_grow_tree():
     ds = planted(100, 25, 3, seed=13)
     p = Params(gamma=0.2, seed=4)
-    cands = boost_sequential(ds, p, rounds=1)
+    cands = boost_sequential(ds, replace(p, sequential_rounds=0))
     root = cands[0].path[0]
     again = grow_tree(ds, p, root)
     assert [c.path for c in cands] == [c.path for c in again]
@@ -489,7 +491,7 @@ def test_boost_sequential_virtual_root():
     p = Params(gamma=0.2, seed=4)
     dp = derive_params(p, ds.n)
     per_tree = sum(dp.s ** i for i in range(dp.h))
-    cands = boost_sequential(ds, p, rounds=2)
+    cands = boost_sequential(ds, replace(p, sequential_rounds=1))
     assert len(cands) == 2 * per_tree
     round2 = cands[per_tree:]
     # virtual root contributes no dataset index anywhere in round 2
@@ -506,15 +508,16 @@ def test_boost_sequential_virtual_root():
 def test_boost_sequential_best_nonincreasing():
     ds = planted(150, 50, 4, seed=14)
     p = Params(gamma=0.25, seed=6)
-    c1 = boost_sequential(ds, p, rounds=1)
-    c3 = boost_sequential(ds, p, rounds=3)
+    c1 = boost_sequential(ds, replace(p, sequential_rounds=0))
+    c3 = boost_sequential(ds, replace(p, sequential_rounds=2))
     assert min(c.score for c in c3) <= min(c.score for c in c1) + 1e-12
 
 
 def test_boost_sequential_validation():
-    ds = planted(30, 10, 2)
-    with pytest.raises(InvalidParamsError):
-        boost_sequential(ds, Params(gamma=0.1), rounds=0)
+    # the round count is a Params field, refused where Params is made;
+    # boost_sequential itself refuses a dataset too small for its Params
+    with pytest.raises(DegenerateDatasetError):
+        boost_sequential(Dataset([[0.0, 1.0]]), Params(gamma=0.1))
 
 
 # ---------------------------------------------------------- recognize

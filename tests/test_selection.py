@@ -11,7 +11,10 @@ from mebo import (
     InvalidParamsError,
     Params,
     approx_meb_center,
-    boost_sequential,
+    derive_params,
+    f1,
+    gen_highdim,
+    gen_multiclass,
     grow_tree,
     k_smallest_distance,
     score_candidate,
@@ -200,29 +203,45 @@ UNREADABLE = {
     "ragged": [[0.0], [0.0, 0.0]],
     "mapping": {"x": 0.0},
 }
+N = 20  # points in the dataset _refuses calls with
+
+
+def _count_calls(name, call, lo, hi=None, real=2.0):
+    """call(ds, v) for v a bool, a float, and the integers just outside
+    the count's range [lo, hi], hi being N, N - 1 or unbounded."""
+    bad = {"=True": True, f"={real!r}": real, f"={lo - 1}": lo - 1}
+    if hi is not None:
+        bad[">n" if hi == N else "=n"] = hi + 1
+    return {name + key: lambda ds, v=v: call(ds, v) for key, v in bad.items()}
+
+
 BAD_CALLS = {
     **{f"Dataset {name}": lambda ds, a=a: Dataset(a) for name, a in UNREADABLE.items()},
     **{f"approx_meb_center {name}": lambda ds, a=a: approx_meb_center(a, 2)
        for name, a in UNREADABLE.items()},
-    "top_k_farthest k=0": lambda ds: top_k_farthest(ds, [0.0, 0.0], 0),
-    "top_k_farthest k>n": lambda ds: top_k_farthest(ds, [0.0, 0.0], 21),
-    "k_smallest_distance m=0": lambda ds: k_smallest_distance(ds, [0.0, 0.0], 0),
-    "k_smallest_distance m>n": lambda ds: k_smallest_distance(ds, [0.0, 0.0], 21),
-    "approx_meb_center iters=0": lambda ds: approx_meb_center(ds.points, 0),
-    # counts must be integers: a float or a bool is refused, not truncated
-    "top_k_farthest k=2.0": lambda ds: top_k_farthest(ds, [0.0, 0.0], 2.0),
-    "top_k_farthest k=True": lambda ds: top_k_farthest(ds, [0.0, 0.0], True),
-    "k_smallest_distance m=3.0": lambda ds: k_smallest_distance(ds, [0.0, 0.0], 3.0),
-    "score_candidate m=5.0": lambda ds: score_candidate(ds, [0.0, 0.0], 5.0),
-    "score_candidate m=True": lambda ds: score_candidate(ds, [0.0, 0.0], True),
-    "grow_tree root_index=1.0": lambda ds: grow_tree(ds, Params(gamma=0.1), 1.0),
-    "boost_sequential rounds=2.0": lambda ds: boost_sequential(ds, Params(gamma=0.1), 2.0),
+    # every count an entry point takes: a float or a bool is refused, not
+    # truncated, and a value out of range is refused, not clipped
+    **_count_calls("top_k_farthest k", lambda ds, v: top_k_farthest(ds, [0.0, 0.0], v), 1, N),
+    **_count_calls("k_smallest_distance m",
+                   lambda ds, v: k_smallest_distance(ds, [0.0, 0.0], v), 1, N, real=3.0),
+    **_count_calls("score_candidate m",
+                   lambda ds, v: score_candidate(ds, [0.0, 0.0], v), 1, N, real=5.0),
+    **_count_calls("grow_tree root_index",
+                   lambda ds, v: grow_tree(ds, Params(gamma=0.1), v), 0, N - 1, real=1.0),
+    **_count_calls("derive_params m", lambda ds, v: derive_params(Params(gamma=0.1), N, v), 1, N),
+    **_count_calls("approx_meb_center iters", lambda ds, v: approx_meb_center(ds.points, v), 1),
+    **_count_calls("f1 n", lambda ds, v: f1([], [], v), 0),
+    **_count_calls("Params forest_size", lambda ds, v: Params(gamma=0.1, forest_size=v), 1),
+    **_count_calls("Params sequential_rounds",
+                   lambda ds, v: Params(gamma=0.1, sequential_rounds=v), 0),
+    **_count_calls("gen_highdim n", lambda ds, v: gen_highdim(v, 2, 0.2, 0), 1),
+    **_count_calls("gen_multiclass d", lambda ds, v: gen_multiclass(N, v, (0.8,), 0.2, 0), 1),
 }
 
 
 def _refuses(call):
     """call raises InvalidParamsError, and no numpy warning comes first."""
-    ds = Dataset(np.random.default_rng(0).normal(size=(20, 2)))
+    ds = Dataset(np.random.default_rng(0).normal(size=(N, 2)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidParamsError):
@@ -238,3 +257,17 @@ def test_bad_center_refused(op, center):
 @pytest.mark.parametrize("call", BAD_CALLS.values(), ids=BAD_CALLS.keys())
 def test_bad_count_refused(call):
     _refuses(call)
+
+
+def test_count_refusal_wording():
+    # one wording for every count, from core.as_int
+    ds = Dataset(np.zeros((N, 2)))
+    for call, message in [
+            (lambda: top_k_farthest(ds, [0.0, 0.0], 21), "k must be in [1, 20], got 21"),
+            (lambda: grow_tree(ds, Params(gamma=0.1), -1), "root_index must be in [0, 19], got -1"),
+            (lambda: approx_meb_center(ds.points, 0), "iters must be >= 1, got 0"),
+            (lambda: f1([], [], -5), "n must be >= 0, got -5"),
+            (lambda: score_candidate(ds, [0.0, 0.0], True), "m must be an integer, got True")]:
+        with pytest.raises(InvalidParamsError) as exc:
+            call()
+        assert str(exc.value) == message

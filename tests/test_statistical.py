@@ -6,6 +6,7 @@ standard errors with real margin.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
@@ -146,7 +147,7 @@ def test_extra_rounds_never_hurt_f1():
         ds, labels = gen_highdim(1500, 100, 0.5, seed=seed)
         p = Params(gamma=0.5, seed=seed)
         dp = derive_params(p, ds.n)
-        cands = boost_sequential(ds, p, rounds=rounds)
+        cands = boost_sequential(ds, replace(p, sequential_rounds=rounds - 1))
         best = min(range(len(cands)), key=lambda i: cands[i].score)
         _, inl = score_candidate(ds, cands[best].center, dp.m)
         return f1(inl, np.flatnonzero(labels == 1), ds.n).f1

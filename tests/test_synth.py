@@ -87,6 +87,8 @@ def test_multiclass_validation():
         gen_multiclass(100, 5, (), 0.1, seed=0)
     with pytest.raises(InvalidParamsError):
         gen_multiclass(100, 5, (1.2, -0.2), 0.0, seed=0)
+    with pytest.raises(InvalidParamsError, match="gamma must be in"):
+        gen_multiclass(100, 5, (0.5,), 1.0, seed=0)
 
 
 # counts and seeds must be integers and gamma and fractions real numbers,
