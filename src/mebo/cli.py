@@ -105,7 +105,7 @@ def _load_csv(path: str, cell: type) -> np.ndarray:
 
 
 def _emit(args, text: str):
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
@@ -260,18 +260,19 @@ def cmd_eval(args) -> int:
         raise MeboError(f"{args.result}: bad JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise MeboError(f"{args.result}: expected a JSON object at the top level")
-    if "classes" in doc:
-        classes = doc["classes"]
-        if not isinstance(classes, list) or not classes:
-            raise MeboError(f'{args.result}: "classes" must be a nonempty list')
-        for j, rec in enumerate(classes, 1):
-            if not isinstance(rec, dict) or "inliers" not in rec:
-                raise MeboError(f'{args.result}: class {j} has no "inliers" list')
+    multi = "classes" in doc  # a fit result is read as one class
+    records = doc["classes"] if multi else [doc]
+    if not isinstance(records, list) or not records:
+        raise MeboError(f'{args.result}: "classes" must be a nonempty list')
+    where = [f"{args.result}: class {j}: " if multi else f"{args.result}: "
+             for j in range(1, len(records) + 1)]
+    for w, rec in zip(where, records):
+        if not isinstance(rec, dict) or "inliers" not in rec:
+            raise MeboError(f'{w}no "inliers" list')
     labels = _load_csv(args.labels, int)
     n = labels.shape[0]
-    if "classes" in doc:
-        preds = [as_index_set(f"{args.result}: class {j}: inlier", rec["inliers"], n)
-                 for j, rec in enumerate(doc["classes"], 1)]
+    preds = [as_index_set(w + "inlier", rec["inliers"], n) for w, rec in zip(where, records)]
+    if multi:
         pairs, true_sets = _match_classes(preds, labels)
         per_class = []
         scores = []
@@ -291,7 +292,7 @@ def cmd_eval(args) -> int:
             "n": int(n),
         }
     else:
-        pred = as_index_set(f"{args.result}: inlier", doc.get("inliers", []), n)
+        pred = preds[0]
         true = np.flatnonzero(labels >= 1)
         r = f1(pred, true, n)
         out = {
@@ -384,6 +385,8 @@ def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.out:  # refused before the work; append mode truncates nothing
+            open(args.out, "a").close()
         return args.fn(args)
     except MeboError as exc:
         print(f"mebo: error: {exc}", file=sys.stderr)

@@ -53,9 +53,10 @@ class SpecInfeasibleError(MeboError, ValueError):
 class Dataset:
     """Immutable n x d matrix of points, one row per point.
 
-    Entries must be finite reals.  The backing array is copied on
-    construction and marked read-only, so instances are safe to share
-    across threads.
+    Entries must be finite reals, at most sqrt(float max / (4*n*d)) in
+    absolute value (check_limit); both are checked once, here.  The
+    backing array is copied and marked read-only, so instances are safe
+    to share across threads.
     """
 
     __slots__ = ("points", "n", "d")
@@ -66,8 +67,11 @@ class Dataset:
             raise InvalidParamsError(f"points must be 2-dimensional, got shape {pts.shape}")
         if pts.shape[0] < 1 or pts.shape[1] < 1:
             raise InvalidParamsError(f"need at least one point and one dimension, got shape {pts.shape}")
-        if not np.isfinite(pts).all():
+        # max and min propagate NaN, so they also find a non-finite entry
+        hi, lo = float(pts.max()), float(pts.min())
+        if not (math.isfinite(hi) and math.isfinite(lo)):
             raise InvalidParamsError("points contain NaN or infinity")
+        check_limit("coordinates", max(hi, -lo), *pts.shape)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "n", pts.shape[0])
@@ -145,6 +149,19 @@ class Params:
     def meb_iter_count(self) -> int:
         """Steps of the ball-center recurrence, ceil(1/epsilon^2)."""
         return _ceil_snapped(1.0 / (self.epsilon * self.epsilon))
+
+
+def check_limit(what: str, big: float, n: int, d: int) -> None:
+    """Refuse big, the largest |coordinate| of n points in d dimensions
+    or of a center for them, past sqrt(float max / (4*n*d)): every
+    distance, inlier sum and score over the points is then at most
+    4*n*d*big^2, and finite.  A subset has a larger limit."""
+    limit = math.sqrt(np.finfo(np.float64).max / (4.0 * n * d))
+    if big > limit:
+        raise InvalidParamsError(
+            f"{what} must be at most {limit:.6g} in absolute value for "
+            f"{n} points in {d} dimensions, or their sums of squares "
+            f"overflow; got {big:.6g}")
 
 
 def as_int(name: str, value, lo: int | None = None, hi: int | None = None) -> int:

@@ -64,7 +64,6 @@ from .core import (
 from .meb import approx_meb_center
 from .selection import (
     check_center,
-    check_magnitude,
     expanded_sq_dists,
     k_smallest_distance,
     split_far,
@@ -128,7 +127,6 @@ class _FitContext:
 
     def __init__(self, ds: Dataset):
         X = ds.points
-        check_magnitude(X)
         n, d = X.shape
         self.X = X
         self.n = n
@@ -310,7 +308,7 @@ def score_candidate(ds: Dataset, center, m: int):
     computed in a plain two-pass fashion.
     """
     m = as_int("m", m, 1, ds.n)
-    c = check_center(ds.points, center)
+    c = check_center(ds, center)
     if m == ds.n:
         inliers = np.arange(ds.n)
     else:

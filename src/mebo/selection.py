@@ -22,7 +22,7 @@ split under both forms.  Only the points inside that band, almost
 always the pivot alone, are placed by their direct distance.  The split
 is thus the one the direct distances give, whatever the BLAS build, its
 thread count or the number of centers in a block, and however far the data
-lies from the origin.
+lies from the origin within the limit a Dataset holds its points to.
 
 For a block, split_far partitions a copy of a few rows at a time and
 reads each row's largest value left of the pivot and smallest right of
@@ -37,49 +37,25 @@ and partitioning at (m - 1, m, m + 1) instead of reading max and min.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .core import Dataset, InvalidParamsError, as_int, as_reals
+from .core import Dataset, InvalidParamsError, as_int, as_reals, check_limit
 
 __all__ = ["top_k_farthest", "k_smallest_distance"]
 
 
-def check_magnitude(X: np.ndarray, center: np.ndarray | None = None) -> None:
-    """Refuse points, or a center, whose sums of squares could overflow.
-
-    Every distance, inlier sum and score over n points in d dimensions
-    is at most 4*n*max|x|^2 in size, and |x|^2 <= d*max|x_i|^2; a center
-    within the same limit keeps every distance to it within it too.
-    Only max() and min() are read, so the check makes no copy and cannot
-    overflow itself.
-    """
-    n, d = X.shape
-    limit = math.sqrt(np.finfo(np.float64).max / (4.0 * n * d))
-    for what, A in (("coordinates", X), ("center coordinates", center)):
-        if A is None:
-            continue
-        big = max(float(A.max()), -float(A.min()))
-        if big > limit:
-            raise InvalidParamsError(
-                f"{what} must be at most {limit:.6g} in absolute value for "
-                f"{n} points in {d} dimensions, or their sums of squares "
-                f"overflow; got {big:.6g}")
-
-
-def check_center(X: np.ndarray, center) -> np.ndarray:
-    """center as a float64 vector of X's d coordinates, after refusing
-    one of another shape, one that is not finite, and points or a center
-    beyond check_magnitude's limit: any of these would give a far set
-    and a pivot that mean nothing, or a numpy error or warning."""
-    d = X.shape[1]
+def check_center(ds: Dataset, center) -> np.ndarray:
+    """center as a float64 vector of ds's d coordinates, after refusing
+    one of another shape, one that is not finite, and one beyond the
+    limit ds's points were held to when ds was made (core.check_limit):
+    any of these would give a far set and a pivot that mean nothing, or
+    a numpy error or warning."""
     c = as_reals("center", center)
-    if c.shape != (d,):
-        raise InvalidParamsError(f"center must have shape ({d},), got {c.shape}")
+    if c.shape != (ds.d,):
+        raise InvalidParamsError(f"center must have shape ({ds.d},), got {c.shape}")
     if not np.isfinite(c).all():
         raise InvalidParamsError("center contains NaN or infinity")
-    check_magnitude(X, c)
+    check_limit("center coordinates", max(float(c.max()), -float(c.min())), ds.n, ds.d)
     return c
 
 
@@ -121,10 +97,11 @@ def split_far(X: np.ndarray, C: np.ndarray, E: np.ndarray, k: int) -> np.ndarray
     E holds |x|^2 - 2 x.c for the rows x of X and the centers c of C
     (L x n, from expanded_sq_dists).  It is overwritten with the split
     and returned: 1.0 at each center's n - k nearest points, 0.0 at its
-    k farthest.  X and C must be within check_magnitude's limit, as every
-    caller makes sure: then |x|^2 and |c|^2 are at most float max / 4n,
-    so every entry of E, each pivot p, |c|^2 and the band's width are
-    at most float max / n, and finite.
+    k farthest.  X (a Dataset's points) and C (centers check_center
+    passed, or MEB centers, which lie in X's convex hull) are within
+    core.check_limit's bound: then |x|^2 and |c|^2 are at most float
+    max / 4n, so every entry of E, each pivot p, |c|^2 and the band's
+    width are at most float max / n, and finite.
     """
     L, n = E.shape
     m = n - k
@@ -174,7 +151,7 @@ def top_k_farthest(ds: Dataset, center, k: int) -> tuple[np.ndarray, float]:
     """
     k = as_int("k", k, 1, ds.n)
     X = ds.points
-    C = check_center(X, center)[None, :]
+    C = check_center(ds, center)[None, :]
     E = expanded_sq_dists(X, np.einsum("ij,ij->i", X, X), C)
     far = np.flatnonzero(split_far(X, C, E, k)[0] == 0.0)
     return far, float(np.sqrt(direct_sq_dists(X, far, C[0]).min()))

@@ -91,7 +91,6 @@ def test_criterion_3_tiny_instance_recovery_rate():
     assert time.perf_counter() - t0 < 60.0
 
 
-@pytest.mark.slow
 def test_criterion_4_highdim_f1():
     t0 = time.perf_counter()
     for gamma, floor in ((0.1, 0.95), (0.5, 0.80)):
@@ -115,7 +114,6 @@ def test_criterion_5_toy2d_f1():
     assert time.perf_counter() - t0 < 120.0
 
 
-@pytest.mark.slow
 def test_criterion_6_multiclass_f1():
     t0 = time.perf_counter()
     for gamma in (0.1, 0.2, 0.3, 0.4):

@@ -182,7 +182,7 @@ def test_eval_bad_json(tmp_path):
     {"inliers": ["a"]}, {"inliers": [1.5]}, {"inliers": 3},
     {"classes": [{"inliers": ["x"]}]}, {"inliers": [10**30]},
     {"inliers": [[0, 1]]}, {"inliers": [[0], [1, 2]]}, {"inliers": [5]},
-    {"classes": [{"inliers": [0]}, {"inliers": [-1]}]},
+    {"classes": [{"inliers": [0]}, {"inliers": [-1]}]}, {"inlier": [0, 2]},
 ])
 def test_eval_malformed_result(tmp_path, doc):
     bad = tmp_path / "r.json"
@@ -288,18 +288,22 @@ def test_missing_points_file_exit_2(tmp_path):
     assert "mebo: error" in r.stderr
 
 
-@pytest.mark.parametrize("command", ["gen", "fit"])
+@pytest.mark.parametrize("command", ["gen", "fit", "multifit", "bench"])
 def test_unwritable_out_exit_2(tmp_path, command):
     out = tmp_path / "missing" / "out.csv"
-    if command == "gen":
-        r = run("gen", "toy2d", "--out", str(out))
-    else:
-        pts = tmp_path / "p.csv"
-        write_planted(pts)
-        r = run("fit", str(pts), "--gamma", "0.25", "--out", str(out))
+    pts = tmp_path / "p.csv"
+    write_planted(pts)
+    argv = {
+        "gen": ["toy2d"],
+        "fit": [str(pts), "--gamma", "0.25"],
+        "multifit": [str(pts), "--fractions", "0.75", "--gamma", "0.25"],
+        "bench": ["--sizes", "50", "--dims", "2", "--runs", "1"],
+    }[command]
+    r = run(command, *argv, "--out", str(out))
     assert r.returncode == 2
     assert r.stdout == ""
-    assert r.stderr.endswith(f"mebo: error: {out}: No such file or directory\n")
+    # refused before the work: no timing or progress line comes first
+    assert r.stderr == f"mebo: error: {out}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("flags", [["--runs", "0"], ["--warmup", "-1"]])

@@ -191,6 +191,10 @@ def test_dataset_shape_and_finiteness():
         Dataset([[0.0, np.nan]])
     with pytest.raises(InvalidParamsError):
         Dataset([[np.inf, 1.0]])
+    # finite, but its sums of squares would overflow: refused when made
+    X = np.random.default_rng(0).normal(size=(50, 3))
+    with pytest.raises(InvalidParamsError, match=r"at most 5\.47371e\+152 .* 50 points"):
+        Dataset(X * 1e155)
 
 
 def test_ball():
