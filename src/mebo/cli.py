@@ -229,27 +229,16 @@ def cmd_multifit(args) -> int:
 
 
 def _match_classes(preds, labels):
-    """Greedily pair each fitted class's inlier set with the unused true
-    class of largest overlap; deterministic (ties break on the smaller
-    label)."""
-    true_sets = {}
-    for lab in np.unique(labels):
-        if lab >= 1:
-            true_sets[int(lab)] = np.flatnonzero(labels == lab)
-    used = set()
-    pairs = []
+    """(pred, label, true) for each fitted class's inlier set pred, in
+    order: the unmatched true label >= 1 whose rows, true, overlap pred
+    most, the smaller label on a tie (max keeps the first maximum), or
+    None and no rows once every label is matched."""
+    free = {int(lab): np.flatnonzero(labels == lab) for lab in np.unique(labels) if lab >= 1}
+    out = []
     for pred in preds:
-        best_lab, best_hit = None, -1
-        for lab in sorted(true_sets):
-            if lab in used:
-                continue
-            hit = np.intersect1d(pred, true_sets[lab]).size
-            if hit > best_hit:
-                best_lab, best_hit = lab, hit
-        if best_lab is not None:
-            used.add(best_lab)
-        pairs.append((pred, best_lab))
-    return pairs, true_sets
+        lab = max(free, key=lambda j: np.intersect1d(pred, free[j]).size, default=None)
+        out.append((pred, lab, free.pop(lab, np.empty(0, dtype=np.int64))))
+    return out
 
 
 def cmd_eval(args) -> int:
@@ -273,11 +262,8 @@ def cmd_eval(args) -> int:
     n = labels.shape[0]
     preds = [as_index_set(w + "inlier", rec["inliers"], n) for w, rec in zip(where, records)]
     if multi:
-        pairs, true_sets = _match_classes(preds, labels)
         per_class = []
-        scores = []
-        for pred, lab in pairs:
-            true = true_sets.get(lab, np.empty(0, dtype=np.int64))
+        for pred, lab, true in _match_classes(preds, labels):
             r = f1(pred, true, n)
             per_class.append({
                 "matched_label": lab,
@@ -285,10 +271,9 @@ def cmd_eval(args) -> int:
                 "recall": r.recall,
                 "f1": r.f1,
             })
-            scores.append(r.f1)
         out = {
             "classes": per_class,
-            "average_f1": sum(scores) / len(scores),
+            "average_f1": sum(c["f1"] for c in per_class) / len(per_class),
             "n": int(n),
         }
     else:

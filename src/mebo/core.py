@@ -62,7 +62,7 @@ class Dataset:
     __slots__ = ("points", "n", "d")
 
     def __init__(self, points) -> None:
-        pts = np.array(as_reals("points", points), order="C")
+        pts = as_reals("points", points)
         if pts.ndim != 2:
             raise InvalidParamsError(f"points must be 2-dimensional, got shape {pts.shape}")
         if pts.shape[0] < 1 or pts.shape[1] < 1:
@@ -214,13 +214,14 @@ def as_real_tuple(name: str, value) -> tuple:
 
 
 def as_reals(name: str, value) -> np.ndarray:
-    """value as a float64 array (not copied if it is one); what numpy cannot
-    read as reals raises InvalidParamsError, not a bare TypeError or ValueError.
-    A complex array is refused too: numpy would drop its imaginary part."""
+    """value as a new C-ordered float64 array, converted and copied in one
+    pass; what numpy cannot read as reals raises InvalidParamsError, not a
+    bare TypeError or ValueError.  A complex array is refused too: numpy
+    would drop its imaginary part."""
     if isinstance(value, (np.ndarray, np.generic)) and value.dtype.kind == "c":
         raise InvalidParamsError(f"{name} must be real numbers, got dtype {value.dtype}")
     try:
-        return np.asarray(value, dtype=np.float64)
+        return np.array(value, dtype=np.float64, order="C")
     except (TypeError, ValueError) as e:
         raise InvalidParamsError(f"{name} must be real numbers: {e}") from None
 

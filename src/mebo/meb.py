@@ -34,13 +34,13 @@ def approx_meb_center(points, iters: int) -> np.ndarray:
     applies c <- c + (q - c)/(t+1) with q the farthest point from c,
     ties broken by lowest row index.  Returns c_iters as a new array.
     """
-    # a fit passes C-ordered float64 path points and an int, which the
-    # conversions would return unchanged, so it pays only for the checks;
-    # other input is copied to C order, as the row sums below round
+    # a fit passes C-ordered float64 path points and an int, which need
+    # no conversion, so it pays only for the checks; other input is
+    # copied to C order by as_reals, as the row sums below round
     # differently over another layout
     pts = points
     if not (type(pts) is np.ndarray and pts.dtype == np.float64 and pts.flags.c_contiguous):
-        pts = np.asarray(as_reals("points", pts), order="C")
+        pts = as_reals("points", pts)
     if pts.ndim == 1:
         pts = pts[None, :]
     if pts.ndim != 2 or pts.size == 0:

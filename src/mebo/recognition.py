@@ -121,9 +121,9 @@ _GATHER_BYTES = 1 << 16
 
 
 class _FitContext:
-    """Per-run precomputed arrays shared by every tree of a run, the
-    distance block every chunk of centers is scored in, and the first
-    score computed for each center, keyed by the center's bytes."""
+    """Per-run precomputed squared norms shared by every tree of a run,
+    the distance block every chunk of centers is scored in, and the
+    first score computed for each center, keyed by the center's bytes."""
 
     def __init__(self, ds: Dataset):
         X = ds.points
@@ -131,8 +131,6 @@ class _FitContext:
         self.X = X
         self.n = n
         self.sqn = np.einsum("ij,ij->i", X, X)
-        self.Sx = X.sum(axis=0)
-        self.S_sqn = float(self.sqn.sum())
         rows = min(max(_CHUNK_BYTES // (8 * n), d), _CHUNK_PER_DIM * d)
         self.dists = np.empty((max(1, rows), n))
         self.scores = {}
@@ -146,10 +144,11 @@ def _score_chunk(ctx: _FitContext, C: np.ndarray, k: int, m: int):
     The score is the total variance of the m points nearest to a center
     c, from their sums s1 = sum x and q = sum |x|^2:
     (q - 2 c.s1)/m + |c|^2 - |s1/m - c|^2.  One GEMM gives the chunk's
-    distances and one GEMM of its splits with X gives the sums.
+    distances and one GEMM of its splits with X gives the sums; with
+    k == 0 (m = n) they are X's column and norm sums, taken only here.
     """
     if k == 0:
-        near, s1, q = None, np.broadcast_to(ctx.Sx, C.shape), ctx.S_sqn
+        near, s1, q = None, np.broadcast_to(ctx.X.sum(axis=0), C.shape), float(ctx.sqn.sum())
     else:
         E = expanded_sq_dists(ctx.X, ctx.sqn, C, out=ctx.dists[:C.shape[0]])
         near = split_far(ctx.X, C, E, k)
@@ -164,20 +163,18 @@ def _path_centers(X: np.ndarray, paths: np.ndarray, iters: int,
                   head: np.ndarray | None) -> np.ndarray:
     """The MEB center of each path's points, one row per path.
 
-    The points are gathered one bounded slice of paths at a time; a
-    virtual root's row number is not a row of X, so with head given
-    column 0 of every path holds head instead.
+    The points are gathered one bounded slice of paths at a time, into
+    one buffer per slice: column 0 of every path is its root's row of X,
+    or head for a virtual root, whose row number is not a row of X.
     """
     L, depth = paths.shape
     C = np.empty((L, X.shape[1]))
     step = max(1, _GATHER_BYTES // (8 * depth * X.shape[1]))
     for a in range(0, L, step):
-        if head is None:
-            P = X[paths[a:a + step]]
-        else:
-            P = np.empty((min(step, L - a), depth, X.shape[1]))
-            P[:, 0] = head
-            P[:, 1:] = X[paths[a:a + step, 1:]]
+        rows = paths[a:a + step]
+        P = np.empty((len(rows), depth, X.shape[1]))
+        P[:, 0] = X[rows[:, 0]] if head is None else head
+        P[:, 1:] = X[rows[:, 1:]]
         C[a:a + step] = [approx_meb_center(pts, iters) for pts in P]
     return C
 
@@ -290,12 +287,16 @@ def _drive(ds: Dataset, p: Params, dp: DerivedParams, roots, rounds: int,
     return best, count
 
 
+def _candidates(ds: Dataset, p: Params, roots, rounds: int) -> list:
+    """Every candidate of the trees _drive grows from roots and rounds."""
+    cands = []
+    _drive(ds, p, derive_params(p, ds.n), roots, rounds, out=cands)
+    return cands
+
+
 def grow_tree(ds: Dataset, p: Params, root_index: int) -> list:
     """All candidates of one tree rooted at a dataset point."""
-    root = as_int("root_index", root_index, 0, ds.n - 1)
-    cands = []
-    _drive(ds, p, derive_params(p, ds.n), [root], 0, out=cands)
-    return cands
+    return _candidates(ds, p, [as_int("root_index", root_index, 0, ds.n - 1)], 0)
 
 
 def score_candidate(ds: Dataset, center, m: int):
@@ -326,10 +327,7 @@ def score_candidate(ds: Dataset, center, m: int):
 
 def boost_forest(ds: Dataset, p: Params) -> list:
     """Candidates of forest_size trees grown from distinct random roots."""
-    roots = _random_roots(p.seed, ds.n, min(p.forest_size, ds.n))
-    cands = []
-    _drive(ds, p, derive_params(p, ds.n), roots, 0, out=cands)
-    return cands
+    return _candidates(ds, p, _random_roots(p.seed, ds.n, min(p.forest_size, ds.n)), 0)
 
 
 def boost_sequential(ds: Dataset, p: Params) -> list:
@@ -341,10 +339,7 @@ def boost_sequential(ds: Dataset, p: Params) -> list:
     point that participates in every path's ball computation but never
     appears among reported path indices.
     """
-    cands = []
-    _drive(ds, p, derive_params(p, ds.n), _random_roots(p.seed, ds.n, 1),
-           p.sequential_rounds, out=cands)
-    return cands
+    return _candidates(ds, p, _random_roots(p.seed, ds.n, 1), p.sequential_rounds)
 
 
 def recognize(ds: Dataset, p: Params, *, threads: int = 1,

@@ -255,6 +255,23 @@ def test_multifit_eval_two_classes(tmp_path):
     assert all(c["f1"] == 1.0 for c in got["classes"])
 
 
+def test_eval_matches_each_class_once(tmp_path):
+    # class 1 overlaps labels 1 and 2 equally and takes the smaller; class
+    # 2 gets the label left (2); class 3 finds none left, and scores 0
+    labels_file, res = tmp_path / "l.csv", tmp_path / "r.json"
+    np.savetxt(labels_file, [1, 1, 1, 1, 2, 2, 2, 2, 0, 0, 0, 0], fmt="%d")
+    res.write_text(json.dumps({"classes": [{"inliers": [0, 1, 4, 5]},
+                                           {"inliers": [4, 5, 6]},
+                                           {"inliers": [8, 9]}]}))
+    r = run("eval", str(res), str(labels_file))
+    assert r.returncode == 0
+    got = json.loads(r.stdout)
+    assert [c["matched_label"] for c in got["classes"]] == [1, 2, None]
+    assert [c["f1"] for c in got["classes"]] == pytest.approx([0.5, 6 / 7, 0.0], abs=1e-12)
+    assert got["average_f1"] == pytest.approx((0.5 + 6 / 7) / 3, abs=1e-12)
+    assert got["n"] == 12
+
+
 def test_multifit_infeasible_fractions(tmp_path):
     pts = tmp_path / "p.csv"
     write_planted(pts)

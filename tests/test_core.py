@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -180,6 +181,24 @@ def test_dataset_immutable():
         ds.points[0, 0] = 1.0
     with pytest.raises(AttributeError):
         ds.n = 5
+
+
+@pytest.mark.parametrize("as_list", [False, True])
+def test_dataset_converts_and_copies_in_one_pass(as_list):
+    # input that is not float64 is converted straight into the copy the
+    # Dataset keeps, so the points are never held twice during the call
+    src = np.random.default_rng(0).integers(-50, 50, size=(2250, 60))
+    if as_list:
+        src = src.tolist()
+    tracemalloc.start()
+    try:
+        ds = Dataset(src)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.points.dtype == np.float64
+    assert np.array_equal(ds.points, np.asarray(src))
+    assert peak <= 1.25 * ds.points.nbytes
 
 
 def test_dataset_shape_and_finiteness():

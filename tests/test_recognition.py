@@ -219,6 +219,8 @@ def test_gamma_zero_single_node():
     p = Params(gamma=0.0, seed=0)
     cands = grow_tree(ds, p, 7)
     assert len(cands) == 1  # no farthest set to sample from
+    # with m = n the score is the total variance of every point
+    assert cands[0].score == pytest.approx(ds.points.var(axis=0).sum(), rel=1e-12)
 
 
 def test_paths_are_valid():
