@@ -25,18 +25,20 @@ split_far turns each row into its 0/1 split at the k farthest points,
 and one GEMM of those splits with X (and one with the squared norms)
 gives every center's inlier sums.  So X is streamed twice per chunk,
 not twice per node; summing each center's far rows by a gather instead
-was 3.5-15 times slower per center than that GEMM.  The far sets of an
-internal layer's centers are kept until the next layer is grown, so a
-child with its parent's center is not split again.  A node's split is the
-one top_k_farthest makes, by construction: both go through split_far,
-which places the few points that rounding of the expanded distance
-could move across the pivot by their direct distance and the tie rule
-(lower index enters the far set).  A child is drawn by its index into
-its parent's far set less the path, found by binary search, so no
-pool of candidates is built per node.  Each node's children are drawn
-from its own stream and noted as (parent row, child) pairs; the next
-layer's paths are then assembled once, the parents' paths gathered by
-row with the children as their last column.
+was 3.5-15 times slower per center than that GEMM.  The nodes of an
+internal layer draw their children as soon as their center's far set
+exists.  A far set is kept for the next layer only when that layer
+draws too, so a child with its parent's center is not split again, and
+a far set of the last internal layer lives only while its nodes draw.
+A node's split is the one top_k_farthest makes, by construction: both
+go through split_far, which places the few points that rounding of the
+expanded distance could move across the pivot by their direct distance
+and the tie rule (lower index enters the far set).  A child is drawn by
+its index into its parent's far set less the path, found by binary
+search, so no pool of candidates is built per node.  Each node's
+children are drawn from its own stream and noted by its row; the next
+layer's paths are then assembled once, in row order, each parent's path
+repeated once per child with the children as the last column.
 
 Randomness: every node owns a stream keyed by (tree id, shifted path),
 spawned from the user seed, so results depend on the input and the seed
@@ -215,7 +217,10 @@ def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, tree_id: in
     fit) or a far set (an internal layer's center that the previous
     layer did not split) are scored; a center scored again for its far
     set keeps its first score.  Each node's children are drawn from its
-    own stream, from its center's far set less its own path points.
+    own stream, from its center's far set less its own path points, as
+    soon as that far set exists: first from the previous layer's far
+    sets, which are then let go, then from each chunk's.  A far set is
+    kept for the next layer only when that layer draws too.
     """
     X, iters, k = ctx.X, p.meb_iter_count, dp.k
     step = ctx.dists.shape[0]
@@ -228,34 +233,45 @@ def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, tree_id: in
         rep = [first.setdefault(c.tobytes(), i) for i, c in enumerate(C)]
         todo = [(key, i) for key, i in first.items()
                 if key not in ctx.scores or (internal and key not in held)]
-        fars = {}
+        if internal:
+            rows = {}  # the first row with a center -> every row with it
+            for i, r in enumerate(rep):
+                rows.setdefault(r, []).append(i)
+            kids = [None] * len(rep)  # each row's children
+
+            def draw(far, r):
+                for i in rows[r]:
+                    # paths never repeat a point
+                    kids[i] = _draw_children(p.seed, tree_id, far, paths[i], dp.s)
+
+            for key, i in first.items():
+                if key in held:
+                    draw(held[key], i)
+        held = {}  # this layer's far sets that the next layer draws from
         for a in range(0, len(todo), step):
             chunk = todo[a:a + step]
             scores, near = _score_chunk(ctx, C[[i for _, i in chunk]], k, dp.m)
-            for j, (key, _) in enumerate(chunk):
+            for j, (key, i) in enumerate(chunk):
                 ctx.scores.setdefault(key, float(scores[j]))
                 if internal:
-                    fars[key] = np.flatnonzero(near[j] == 0.0)
+                    far = np.flatnonzero(near[j] == 0.0)
+                    draw(far, i)
+                    if depth + 1 < dp.h:  # the next layer draws too
+                        held[key] = far
         score = [0.0] * len(rep)  # by the first row with each center
         for key, i in first.items():
             score[i] = ctx.scores[key]
         yield paths, C, [score[i] for i in rep]
         if not internal:
             break
-        far = [None] * len(rep)  # by the first row with each center
-        for key, i in first.items():
-            far[i] = fars.setdefault(key, held.get(key))
-        # the next layer is each parent row's path extended by one child
-        parents, kids = [], []
-        for i, path in enumerate(paths):
-            # paths never repeat a point
-            chosen = _draw_children(p.seed, tree_id, far[rep[i]], path, dp.s)
-            if chosen is not None:
-                parents += [i] * chosen.shape[0]
-                kids.append(chosen)
-        if not kids:
+        # the next layer is each row's path extended by one child, in row
+        # order; each node draws from its own stream, so the order in
+        # which rows drew changes nothing
+        sizes = [0 if c is None else c.shape[0] for c in kids]
+        if not any(sizes):
             break
-        paths, held = np.column_stack((paths[parents], np.concatenate(kids))), fars
+        paths = np.column_stack((np.repeat(paths, sizes, axis=0),
+                                 np.concatenate([c for c in kids if c is not None])))
 
 
 def _drive(ds: Dataset, p: Params, dp: DerivedParams, roots, rounds: int,

@@ -18,21 +18,25 @@ one by rounding alone.  For d coordinates that error is at most
 a*(2|x - c|^2 + 3|c|^2), with a = (3d + 6) units in the last place,
 since |x|^2 <= 2|x - c|^2 + 2|c|^2.  So a point whose expanded value is
 more than 8a*(|p + |c|^2| + |c|^2) from p falls on the same side of the
-split under both forms.  Only the points inside that band, almost
-always the pivot alone, are placed by their direct distance.  The split
-is thus the one the direct distances give, whatever the BLAS build, its
-thread count or the number of centers in a block, and however far the data
-lies from the origin within the limit a Dataset holds its points to.
+split under both forms.  Where every point left of the pivot lies below
+that band, the split at the pivot is thus the direct one: the points in
+the band above it are far under both forms.  Otherwise, almost never,
+the points inside the band are placed by their direct distance.  The
+split is thus the one the direct distances give, whatever the BLAS
+build, its thread count or the number of centers in a block, and
+however far the data lies from the origin within the limit a Dataset
+holds its points to.
 
 For a block, split_far partitions a copy of a few rows at a time and
-reads each row's largest value left of the pivot and smallest right of
-it; these are the same whatever the order the partition leaves.  It then
-tests every row's band at once, splits every row at its pivot with one
-compare over the block, and splits again, from a copy of their
-distances, the rare rows whose pivot is not alone in its band.  Two
-measured alternatives were slower: a pivot bracketed from a sample of
-each row (its boolean compress costs more than the partition it saves)
-and partitioning at (m - 1, m, m + 1) instead of reading max and min.
+reads each row's largest value left of the pivot, which is the same
+whatever the order the partition leaves.  It then tests every row's
+band at once, splits every row at its pivot with one compare over the
+block, and splits again, from a copy of their distances, the rare rows
+with a point left of the pivot inside the band.  Two measured
+alternatives were slower: a pivot bracketed from a sample of each row
+(its boolean compress costs more than the partition it saves) and
+partitioning at (m - 1, m, m + 1), 4 times slower than partitioning at
+m and reading a max and a min.
 """
 
 from __future__ import annotations
@@ -107,9 +111,9 @@ def split_far(X: np.ndarray, C: np.ndarray, E: np.ndarray, k: int) -> np.ndarray
     m = n - k
     step = max(1, _SCRATCH_BYTES // (8 * n))
     scratch = np.empty((min(step, L), n))
-    # each row's pivot p, and the largest value left of it and the
-    # smallest right of it once the row is partitioned at p
-    p, left, right = np.empty(L), np.full(L, -np.inf), np.full(L, np.inf)
+    # each row's pivot p, and the largest value left of it once the row
+    # is partitioned at p
+    p, left = np.empty(L), np.full(L, -np.inf)
     for a in range(0, L, step):
         part = scratch[:min(step, L - a)]
         np.copyto(part, E[a:a + step])
@@ -117,17 +121,16 @@ def split_far(X: np.ndarray, C: np.ndarray, E: np.ndarray, k: int) -> np.ndarray
         p[a:a + step] = part[:, m]
         if m > 0:
             left[a:a + step] = part[:, :m].max(axis=1)
-        if k > 1:
-            right[a:a + step] = part[:, m + 1:].min(axis=1)
     # the band's half width over |p + |c|^2| + |c|^2: 8a for a = (3d + 6)
     # ulps, p + |c|^2 being the pivot's expanded squared distance
     half = (12.0 * X.shape[1] + 24.0) * np.finfo(np.float64).eps
     cc = np.einsum("ij,ij->i", C, C)
     w = half * (np.abs(p + cc) + cc)
     lo, hi = p - w, p + w
-    # where the pivot is alone in its band, the split is at the pivot;
-    # the other rows are split again from a copy of their distances
-    rows = np.flatnonzero(~((left < lo) & (right > hi)))
+    # where no near point is in its band, the split is at the pivot (the
+    # band above it holds far points only); the other rows are split
+    # again from a copy of their distances
+    rows = np.flatnonzero(left >= lo)
     banded = E[rows]
     np.less(E, p[:, None], out=E)
     for i, e in zip(rows, banded):

@@ -58,6 +58,15 @@ def test_peel_exhausted_remainder_infeasible():
         peel(ds, ClassSpec(fractions=(0.5, 0.5)), Params(gamma=0.0, seed=0))
 
 
+def test_peel_infeasible_spec_reported_in_fit_order():
+    # ceil(0.7 * 11) = 8 and ceil(0.3 * 11) = 4 ask for 12 of 11 points;
+    # the larger class is fitted first, so the smaller one runs short
+    ds = Dataset(np.arange(22, dtype=float).reshape(11, 2))
+    with pytest.raises(SpecInfeasibleError,
+                       match="^class needs 4 points but only 3 remain$"):
+        peel(ds, ClassSpec(fractions=(0.3, 0.7)), Params(gamma=0.0, seed=0))
+
+
 def test_peel_two_identical_clusters_exact():
     ds = two_far_blobs()
     out = peel(ds, ClassSpec(fractions=(0.5, 0.5)), Params(gamma=0.0, seed=3))
@@ -153,3 +162,37 @@ def test_peel_three_gaussians_with_outliers_quality():
         taken.add(best_lab)
         scores.append(best)
     assert np.mean(scores) >= 0.90
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_peel_largest_class_first_whatever_the_order_given(seed):
+    # fitted in the order given, the first 0.2 class would take a 0.2
+    # share of the 0.5 class and leave the 0.5 class a mix (F1 near 0.6)
+    from mebo.synth import gen_multiclass
+    from mebo import f1
+
+    ds, labels = gen_multiclass(3000, 30, (0.5, 0.2, 0.2), 0.1, seed)
+    out = peel(ds, ClassSpec(fractions=(0.2, 0.5, 0.2)), Params(gamma=0.1, seed=seed))
+    truth = {lab: np.flatnonzero(labels == lab) for lab in (1, 2, 3)}
+    matched = [max(truth, key=lambda lab: np.intersect1d(r.inliers, truth[lab]).size)
+               for r in out]
+    assert matched[1] == 1 and sorted(matched) == [1, 2, 3]
+    for r, lab in zip(out, matched):
+        assert f1(r.inliers, truth[lab], ds.n).f1 >= 0.95
+
+
+def test_peel_permuted_fractions_permute_the_classes():
+    from mebo.synth import gen_multiclass
+
+    ds, _ = gen_multiclass(600, 5, (0.4, 0.3, 0.2), 0.1, seed=6)
+    p = Params(gamma=0.1, seed=4)
+    fr = (0.4, 0.3, 0.2)
+    base = peel(ds, ClassSpec(fractions=fr), p)
+    for perm in ((2, 0, 1), (1, 2, 0), (0, 2, 1)):
+        out = peel(ds, ClassSpec(fractions=tuple(fr[j] for j in perm)), p)
+        for r, j in zip(out, perm):
+            assert r.ball.center.tobytes() == base[j].ball.center.tobytes()
+            assert r.ball.radius == base[j].ball.radius
+            assert np.array_equal(r.inliers, base[j].inliers)
+            assert r.score == base[j].score
+            assert r.candidates_evaluated == base[j].candidates_evaluated

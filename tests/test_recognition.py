@@ -9,6 +9,7 @@ two passes.
 
 import importlib.util
 import json
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -39,6 +40,7 @@ from mebo import (
     score_candidate,
     gen_highdim,
     gen_multiclass,
+    gen_toy_2d,
     top_k_farthest,
 )
 from mebo.recognition import make_node_rng, node_stream_key
@@ -362,6 +364,25 @@ def test_fit_block_within_memory_bound(n, d):
     assert block.shape[1] == n
     assert 1 <= block.shape[0] <= mebo.recognition._CHUNK_PER_DIM * d
     assert block.nbytes <= max(mebo.recognition._CHUNK_BYTES, X.nbytes)
+
+
+def test_fit_holds_the_block_and_few_far_sets():
+    # besides the data, a fit holds its distance block and the far sets of
+    # the layers whose children draw again: at most s + 1 of them per tree,
+    # plus the one its rows are drawing from; 1 MB covers the center keys,
+    # the paths, the centers and split_far's scratch
+    ds, _ = gen_toy_2d(0)
+    p = Params(gamma=0.4, seed=0)
+    dp = derive_params(p, ds.n)
+    recognize(ds, p)  # numpy's lazy set-up is not the fit's
+    tracemalloc.start()
+    try:
+        recognize(ds, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = mebo.recognition._FitContext(ds).dists.nbytes
+    assert peak <= block + (dp.s + 2) * dp.k * 8 + (1 << 20)
 
 
 def test_score_is_the_two_temporary_form():

@@ -104,6 +104,13 @@ def test_tie_rule_lowest_index_first():
     # distances: 2, 1, 1, 1, 1, .5 ; k=3 takes index 0 then ties 1, 2
     assert np.array_equal(idx, [0, 1, 2])
     assert pivot == pytest.approx(1.0)
+    # a far point just past the pivot, inside its rounding band, and every
+    # near point below the band: the split at the pivot is the sort's
+    X = np.array([[1.0 + 2.0**-50], [0.5], [1.0], [0.25]])
+    idx, pivot = top_k_farthest(Dataset(X), [0.0], 2)
+    oidx, opivot = sort_oracle(X, [0.0], 2)
+    assert np.array_equal(idx, oidx)
+    assert pivot == opivot == 1.0
 
 
 def test_all_identical_points():
