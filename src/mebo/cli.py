@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import statistics
 import sys
 import time
@@ -369,18 +370,23 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
+    made = False  # whether --out is a file this call created
     try:
         if args.out:  # refused before the work; append mode truncates nothing
+            made = not os.path.lexists(args.out)
             open(args.out, "a").close()
         return args.fn(args)
     except MeboError as exc:
         print(f"mebo: error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
     except OSError as exc:
         # the one place a file that cannot be read or written is reported
         where = "" if exc.filename is None else f"{exc.filename}: "
         print(f"mebo: error: {where}{exc.strerror or exc}", file=sys.stderr)
-        return 2
+        code = 2
+    if made:  # a failed command leaves no empty or partial --out behind
+        Path(args.out).unlink(missing_ok=True)
+    return code
 
 
 def entry():

@@ -80,7 +80,5 @@ def peel(ds: Dataset, spec: ClassSpec, p: Params) -> list[RecognitionResult]:
         sub = ds if n_j == n else Dataset(ds.points[remaining])
         res = recognize(sub, p, m=m_j)
         out[j] = replace(res, inliers=remaining[res.inliers])
-        keep = np.ones(n_j, dtype=bool)
-        keep[res.inliers] = False
-        remaining = remaining[keep]
+        remaining = np.delete(remaining, res.inliers)
     return out

@@ -18,18 +18,21 @@ distinct center, and nodes with equal centers share one score, the
 first the fit computed for that center.  A tree layer's centers are
 computed first, one approx_meb_center call per node on its path's
 points, which are gathered a bounded slice of the layer at a time.
-The distinct centers the fit has not scored yet are stacked and scored
-a chunk at a time, and a chunk holds at least d centers: one GEMM
-gives the chunk's expanded squared distances, the selection module's
-split_far turns each row into its 0/1 split at the k farthest points,
-and one GEMM of those splits with X (and one with the squared norms)
-gives every center's inlier sums.  So X is streamed twice per chunk,
-not twice per node; summing each center's far rows by a gather instead
-was 3.5-15 times slower per center than that GEMM.  The nodes of an
-internal layer draw their children as soon as their center's far set
-exists.  A far set is kept for the next layer only when that layer
-draws too, so a child with its parent's center is not split again, and
-a far set of the last internal layer lives only while its nodes draw.
+One table per layer, from a center's bytes to the ascending rows with
+that center, gives the distinct centers that need a score or a far
+set, the rows that draw from each far set and each row's score.  Those
+centers are stacked and scored a chunk at a time, and a chunk holds at
+least d centers: one GEMM gives the chunk's expanded squared
+distances, the selection module's split_far turns each row into its
+0/1 split at the k farthest points, and one GEMM of those splits with
+X (and one with the squared norms) gives every center's inlier sums.
+So X is streamed twice per chunk, not twice per node; summing each
+center's far rows by a gather instead was 3.5-15 times slower per
+center than that GEMM.  The nodes of an internal layer draw their
+children as soon as their center's far set exists.  A far set is kept
+for the next layer only when that layer draws too, so a child with its
+parent's center is not split again, and a far set of the last internal
+layer lives only while its nodes draw.
 A node's split is the one top_k_farthest makes, by construction: both
 go through split_far, which places the few points that rounding of the
 expanded distance could move across the pivot by their direct distance
@@ -131,7 +134,6 @@ class _FitContext:
         X = ds.points
         n, d = X.shape
         self.X = X
-        self.n = n
         self.sqn = np.einsum("ij,ij->i", X, X)
         rows = min(max(_CHUNK_BYTES // (8 * n), d), _CHUNK_PER_DIM * d)
         self.dists = np.empty((max(1, rows), n))
@@ -182,9 +184,9 @@ def _path_centers(X: np.ndarray, paths: np.ndarray, iters: int,
 
 
 def _draw_children(seed: int, tree_id: int, far: np.ndarray, path: np.ndarray,
-                   s: int) -> np.ndarray | None:
+                   s: int) -> np.ndarray:
     """Up to s distinct points of the far set that are not on the path,
-    drawn from the node's own stream, or None when none is left.
+    drawn from the node's own stream; empty when none is left.
 
     far is nonempty and ascending.  The draw is the one
     rng.choice(far[~np.isin(far, path)], take, replace=False) makes,
@@ -197,7 +199,7 @@ def _draw_children(seed: int, tree_id: int, far: np.ndarray, path: np.ndarray,
     size = far.shape[0] - on.shape[0]
     take = min(s, size)
     if take == 0:
-        return None
+        return np.empty(0, dtype=np.int64)
     j = make_node_rng(seed, node_stream_key(tree_id, path)).choice(size, take, replace=False)
     if on.shape[0]:
         on.sort()
@@ -212,15 +214,17 @@ def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, tree_id: in
 
     root is a dataset row, or a row number >= n standing for the virtual
     point head.  A virtual root leads every path's points in the ball
-    computation but never appears among reported path indices.  Only
-    the layer's distinct centers that need a score (none yet in the
-    fit) or a far set (an internal layer's center that the previous
-    layer did not split) are scored; a center scored again for its far
-    set keeps its first score.  Each node's children are drawn from its
-    own stream, from its center's far set less its own path points, as
-    soon as that far set exists: first from the previous layer's far
-    sets, which are then let go, then from each chunk's.  A far set is
-    kept for the next layer only when that layer draws too.
+    computation but never appears among reported path indices.  Each
+    layer keeps one table, from center bytes to the ascending rows with
+    that center; the centers scored, the draws and the rows' scores all
+    read it.  A layer that does not draw scores the centers the fit has
+    not scored yet; a layer that draws scores every center whose far set
+    the previous layer did not hold, and a center scored again keeps its
+    first score.  Each node's children are drawn from its own stream,
+    from its center's far set less its own path points, as soon as that
+    far set exists: first from the previous layer's far sets, which are
+    then let go, then from each chunk's.  A far set is held for the next
+    layer only when that layer draws too.
     """
     X, iters, k = ctx.X, p.meb_iter_count, dp.k
     step = ctx.dists.shape[0]
@@ -229,49 +233,46 @@ def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, tree_id: in
     for depth in range(1, dp.h + 1):
         internal = depth < dp.h and k > 0
         C = _path_centers(X, paths, iters, head)
-        first = {}  # center bytes -> the first row with that center
-        rep = [first.setdefault(c.tobytes(), i) for i, c in enumerate(C)]
-        todo = [(key, i) for key, i in first.items()
-                if key not in ctx.scores or (internal and key not in held)]
-        if internal:
-            rows = {}  # the first row with a center -> every row with it
-            for i, r in enumerate(rep):
-                rows.setdefault(r, []).append(i)
-            kids = [None] * len(rep)  # each row's children
+        rows = {}  # center bytes -> the ascending rows with that center
+        for i, c in enumerate(C):
+            rows.setdefault(c.tobytes(), []).append(i)
+        kids = {}  # row -> its children
 
-            def draw(far, r):
-                for i in rows[r]:
-                    # paths never repeat a point
-                    kids[i] = _draw_children(p.seed, tree_id, far, paths[i], dp.s)
+        def draw(key, far):
+            for i in rows[key]:
+                # paths never repeat a point
+                kids[i] = _draw_children(p.seed, tree_id, far, paths[i], dp.s)
 
-            for key, i in first.items():
-                if key in held:
-                    draw(held[key], i)
+        for key in rows:  # held is empty unless this layer draws
+            if key in held:
+                draw(key, held[key])
+        todo = [key for key in rows if key not in (held if internal else ctx.scores)]
         held = {}  # this layer's far sets that the next layer draws from
         for a in range(0, len(todo), step):
             chunk = todo[a:a + step]
-            scores, near = _score_chunk(ctx, C[[i for _, i in chunk]], k, dp.m)
-            for j, (key, i) in enumerate(chunk):
+            scores, near = _score_chunk(ctx, C[[rows[key][0] for key in chunk]], k, dp.m)
+            for j, key in enumerate(chunk):
                 ctx.scores.setdefault(key, float(scores[j]))
                 if internal:
                     far = np.flatnonzero(near[j] == 0.0)
-                    draw(far, i)
+                    draw(key, far)
                     if depth + 1 < dp.h:  # the next layer draws too
                         held[key] = far
-        score = [0.0] * len(rep)  # by the first row with each center
-        for key, i in first.items():
-            score[i] = ctx.scores[key]
-        yield paths, C, [score[i] for i in rep]
+        score = [0.0] * len(C)
+        for key, r in rows.items():
+            for i in r:
+                score[i] = ctx.scores[key]
+        yield paths, C, score
         if not internal:
             break
         # the next layer is each row's path extended by one child, in row
         # order; each node draws from its own stream, so the order in
         # which rows drew changes nothing
-        sizes = [0 if c is None else c.shape[0] for c in kids]
+        kids = [kids[i] for i in range(len(C))]
+        sizes = [c.shape[0] for c in kids]
         if not any(sizes):
             break
-        paths = np.column_stack((np.repeat(paths, sizes, axis=0),
-                                 np.concatenate([c for c in kids if c is not None])))
+        paths = np.column_stack((np.repeat(paths, sizes, axis=0), np.concatenate(kids)))
 
 
 def _drive(ds: Dataset, p: Params, dp: DerivedParams, roots, rounds: int,
@@ -291,14 +292,14 @@ def _drive(ds: Dataset, p: Params, dp: DerivedParams, roots, rounds: int,
         if t < len(roots):
             root, head = int(roots[t]), None
         else:
-            root, head = ctx.n + t - len(roots), best
+            root, head = ds.n + t - len(roots), best
         for paths, C, scores in _grow(ctx, p, dp, root, t, head):
             i = scores.index(min(scores))
             if scores[i] < best_score:
                 best, best_score = C[i], scores[i]
             count += len(scores)
             if out is not None:
-                out.extend(Candidate(center=c, path=tuple(int(v) for v in path if v < ctx.n),
+                out.extend(Candidate(center=c, path=tuple(int(v) for v in path if v < ds.n),
                                      score=s) for path, c, s in zip(paths, C, scores))
     return best, count
 
@@ -330,9 +331,7 @@ def score_candidate(ds: Dataset, center, m: int):
         inliers = np.arange(ds.n)
     else:
         top, _ = top_k_farthest(ds, c, ds.n - m)
-        mask = np.ones(ds.n, dtype=bool)
-        mask[top] = False
-        inliers = np.flatnonzero(mask)
+        inliers = np.delete(np.arange(ds.n), top)
     # the gather is a copy, so it is centered in place: a second m x d
     # array would set the peak memory of a fit
     pts = ds.points[inliers]

@@ -323,6 +323,30 @@ def test_unwritable_out_exit_2(tmp_path, command):
     assert r.stderr == f"mebo: error: {out}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("case", ["bad_csv", "infeasible", "missing_points"])
+def test_failed_command_leaves_no_new_out_file(tmp_path, case):
+    pts = tmp_path / "p.csv"
+    if case == "bad_csv":
+        pts.write_text("1,2\n3,4,5\n")
+    elif case == "infeasible":
+        write_planted(pts)
+    argv, code = {
+        "bad_csv": (["fit", str(pts), "--gamma", "0.1"], 1),
+        "infeasible": (["multifit", str(pts), "--fractions", "0.6,0.6", "--gamma", "0.2"], 1),
+        "missing_points": (["fit", str(pts), "--gamma", "0.1"], 2),
+    }[case]
+    out = tmp_path / "r.json"
+    r = run(*argv, "--out", str(out))
+    assert r.returncode == code
+    assert r.stderr.startswith("mebo: error: ")
+    assert not out.exists()
+    # a file that was there before the command keeps its bytes
+    out.write_bytes(b"kept\n")
+    r = run(*argv, "--out", str(out))
+    assert r.returncode == code
+    assert out.read_bytes() == b"kept\n"
+
+
 @pytest.mark.parametrize("flags", [["--runs", "0"], ["--warmup", "-1"]])
 def test_bench_bad_counts_exit_1(flags):
     r = run("bench", "--sizes", "50", "--dims", "2", *flags)
