@@ -8,9 +8,11 @@ CSV file loads exactly when numpy's loadtxt loads it, so its cells
 follow loadtxt's number grammar; a refused file gets a row and column
 diagnostic.
 
-Results are JSON with sorted keys, so identical flags yield byte
-identical output; wall-clock milliseconds go to stderr to keep it so.
-Exit codes: 0 success, 1 validation or parse errors, 2 I/O errors.
+Each command but gen, which writes its two files itself, returns the
+text of its one output, and main alone writes it, to --out or to
+stdout.  Results are JSON with sorted keys, so identical flags yield
+byte identical output; wall-clock milliseconds go to stderr to keep it
+so.  Exit codes: 0 success, 1 validation or parse errors, 2 I/O errors.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .multiclass import ClassSpec, peel
 from .recognition import recognize
 from .synth import gen_highdim, gen_multiclass, gen_toy_2d
 
-__all__ = ["main", "entry", "cmd_gen", "cmd_fit", "cmd_multifit", "cmd_eval", "cmd_bench"]
+__all__ = ["main", "entry"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,13 +107,6 @@ def _load_csv(path: str, cell: type) -> np.ndarray:
     return rows[:, 0]
 
 
-def _emit(args, text: str):
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -168,7 +163,8 @@ def _parse_list(text: str, cell: type, name: str) -> list:
 # ----------------------------------------------------------- commands
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> None:
+    """Write the points to --out and the labels beside it."""
     if args.kind == "toy2d":
         ds, labels = gen_toy_2d(args.seed)
     elif args.kind == "highdim":
@@ -181,13 +177,6 @@ def cmd_gen(args) -> int:
     np.savetxt(out, ds.points, fmt="%.10g", delimiter=",")
     np.savetxt(labels_path, labels, fmt="%d")
     print(f"wrote {out} ({ds.n} rows) and {labels_path}", file=sys.stderr)
-    return 0
-
-
-def _fit_common(args):
-    X = _load_csv(args.points, float)
-    p = _params_from(args)
-    return Dataset(X), p
 
 
 def _ball_doc(res, **extra) -> dict:
@@ -201,32 +190,27 @@ def _ball_doc(res, **extra) -> dict:
     }
 
 
-def cmd_fit(args) -> int:
-    ds, p = _fit_common(args)
+def cmd_fit(args) -> str:
+    """fit and multifit: one ball, or one ball per class, as JSON.  Faults
+    surface in the order the inputs are read: the CSV, the flags, the
+    points, then the class fractions.  The library call alone is timed,
+    in milliseconds on stderr."""
+    X = _load_csv(args.points, float)
+    p = _params_from(args)
+    ds = Dataset(X)
+    del X  # ds holds its own copy, so the fit holds the points once
+    multi = args.command == "multifit"
+    if multi:
+        spec = ClassSpec(fractions=_parse_list(args.fractions, float, "fractions"))
     t0 = time.perf_counter()
-    res = recognize(ds, p)
-    millis = (time.perf_counter() - t0) * 1e3
-    doc = _ball_doc(res, candidates_evaluated=int(res.candidates_evaluated),
-                    params_echo=_echo(p, ds.n))
-    print(f"millis={millis:.3f}", file=sys.stderr)
-    _emit(args, _dump_json(doc))
-    return 0
-
-
-def cmd_multifit(args) -> int:
-    ds, p = _fit_common(args)
-    spec = ClassSpec(fractions=_parse_list(args.fractions, float, "fractions"))
-    t0 = time.perf_counter()
-    fitted = peel(ds, spec, p)
-    millis = (time.perf_counter() - t0) * 1e3
-    doc = {
-        "classes": [_ball_doc(r, size=int(r.inliers.shape[0])) for r in fitted],
-        "fractions": list(spec.fractions),
-        "params_echo": _echo(p, ds.n),
-    }
-    print(f"millis={millis:.3f}", file=sys.stderr)
-    _emit(args, _dump_json(doc))
-    return 0
+    res = peel(ds, spec, p) if multi else recognize(ds, p)
+    print(f"millis={(time.perf_counter() - t0) * 1e3:.3f}", file=sys.stderr)
+    if multi:
+        doc = {"classes": [_ball_doc(r, size=int(r.inliers.shape[0])) for r in res],
+               "fractions": list(spec.fractions)}
+    else:
+        doc = _ball_doc(res, candidates_evaluated=int(res.candidates_evaluated))
+    return _dump_json({**doc, "params_echo": _echo(p, ds.n)})
 
 
 def _match_classes(preds, labels):
@@ -242,7 +226,7 @@ def _match_classes(preds, labels):
     return out
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> str:
     text = _read_text(args.result)
     try:
         doc = json.loads(text)
@@ -290,11 +274,10 @@ def cmd_eval(args) -> int:
             "true_count": int(true.size),
             "n": int(n),
         }
-    _emit(args, _dump_json(out))
-    return 0
+    return _dump_json(out)
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> str:
     sizes = _parse_list(args.sizes, int, "--sizes")
     dims = _parse_list(args.dims, int, "--dims")
     as_int("--runs", args.runs, 1)
@@ -314,8 +297,7 @@ def cmd_bench(args) -> int:
             med = statistics.median(times)
             lines.append(f"{n},{d},{args.runs},{med:.3f}")
             print(f"bench n={n} d={d} median_ms={med:.3f}", file=sys.stderr)
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 # ------------------------------------------------------------- parser
@@ -348,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma-separated per-class inlier fractions")
     _add_model_flags(mf)
     mf.add_argument("--out", default=None)
-    mf.set_defaults(fn=cmd_multifit)
+    mf.set_defaults(fn=cmd_fit)
 
     e = sub.add_parser("eval", help="score a fit result against labels")
     e.add_argument("result", help="result JSON from fit or multifit")
@@ -375,7 +357,12 @@ def main(argv=None) -> int:
         if args.out:  # refused before the work; append mode truncates nothing
             made = not os.path.lexists(args.out)
             open(args.out, "a").close()
-        return args.fn(args)
+        text = args.fn(args)  # None from gen, which writes its own files
+        if text is not None and args.out:
+            Path(args.out).write_text(text)
+        elif text is not None:
+            sys.stdout.write(text)
+        return 0
     except MeboError as exc:
         print(f"mebo: error: {exc}", file=sys.stderr)
         code = 1

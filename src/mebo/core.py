@@ -86,15 +86,16 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Ball:
-    """A center plus a nonnegative radius."""
+    """A center plus a nonnegative radius.  The center is copied to a new
+    float64 array."""
 
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=np.float64)
+        c = as_reals("ball center", self.center)
         object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", as_real("ball radius", self.radius))
         if c.ndim != 1:
             raise InvalidParamsError("ball center must be a flat vector")
         if not np.isfinite(c).all():

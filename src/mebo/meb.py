@@ -11,9 +11,11 @@ beyond the distances to it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import EmptySubsetError, as_int, as_reals
+from .core import EmptySubsetError, InvalidParamsError, as_int, as_reals
 
 __all__ = ["approx_meb_center"]
 
@@ -33,6 +35,9 @@ def approx_meb_center(points, iters: int) -> np.ndarray:
     Starts at the first point in the given order (deterministic) and
     applies c <- c + (q - c)/(t+1) with q the farthest point from c,
     ties broken by lowest row index.  Returns c_iters as a new array.
+    Points with a NaN or an infinity, or whose squared distances
+    overflow, raise InvalidParamsError; numpy may warn before that, as
+    when the first point is infinite.
     """
     # a fit passes C-ordered float64 path points and an int, which need
     # no conversion, so it pays only for the checks; other input is
@@ -47,12 +52,30 @@ def approx_meb_center(points, iters: int) -> np.ndarray:
         raise EmptySubsetError("need a nonempty 2-d array of points")
     if type(iters) is not int or iters < 1:
         iters = as_int("iters", iters, 1)
+    if iters == 1:
+        if not np.isfinite(pts).all():
+            _refuse(pts)
+        return pts[0].copy()
     c = pts[0]
     for t in range(1, iters):
         diff = pts - c
+        sq = _einsum("ij,ij->i", diff, diff)
+        far = sq.argmax()
+        # argmax takes a NaN as the largest, so the first step's test
+        # finds every NaN or infinity among the points
+        if not sq[far] < math.inf:
+            _refuse(pts)
         # the step q - c is the farthest row of diff
-        nxt = diff[_einsum("ij,ij->i", diff, diff).argmax()]
+        nxt = diff[far]
         nxt /= t + 1.0
         nxt += c
         c = nxt
-    return c.copy() if iters == 1 else c
+    return c
+
+
+def _refuse(pts):
+    """Raise the error for points whose largest squared distance from a
+    center is not finite."""
+    if not np.isfinite(pts).all():
+        raise InvalidParamsError("points contain NaN or infinity")
+    raise InvalidParamsError("points lie too far apart: their squared distances overflow")

@@ -376,6 +376,6 @@ def recognize(ds: Dataset, p: Params, *, threads: int = 1,
     center, count = _drive(ds, p, dp, roots, p.sequential_rounds)
     score, inliers = score_candidate(ds, center, dp.m)
     radius = k_smallest_distance(ds, center, dp.m)
-    ball = Ball(center=np.array(center, dtype=np.float64), radius=radius)
+    ball = Ball(center=center, radius=radius)
     return RecognitionResult(ball=ball, inliers=inliers,
                              candidates_evaluated=count, score=score)

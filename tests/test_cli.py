@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through subprocess: files in, JSON/CSV out,
 exit codes and diagnostics on bad input."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -294,6 +295,71 @@ def test_bench_csv_grid(tmp_path):
         cells = line.split(",")
         assert cells[:3] == [str(n), "4", "2"]
         assert float(cells[3]) > 0
+
+
+# -------------------------------------------------------- pinned output
+
+
+def _stripped_digest(text):
+    """sha256 of a result's JSON with each `score` removed, and the
+    scores: their last bits come from SIMD sums, so they are compared
+    within a tolerance.  The text must be the sorted, indented dump."""
+    doc = json.loads(text)
+    assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == text
+    recs = doc["classes"] if "classes" in doc else [doc]
+    scores = [rec.pop("score") for rec in recs]
+    return hashlib.sha256(json.dumps(doc, sort_keys=True, indent=2).encode()).hexdigest(), scores
+
+
+def test_command_output_pinned(tmp_path):
+    # criterion 9's 120x3 input, and a two-class set as `mebo gen` writes it
+    pts, pts_labels = tmp_path / "p.csv", tmp_path / "p.labels.csv"
+    rng = np.random.default_rng(0)
+    X = np.vstack([rng.normal(size=(90, 3)),
+                   rng.normal(size=(30, 3)) * 2 + 15.0])
+    np.savetxt(pts, X, fmt="%.10g", delimiter=",")
+    np.savetxt(pts_labels, np.r_[np.ones(90, dtype=int), np.zeros(30, dtype=int)], fmt="%d")
+    multi = tmp_path / "m.csv"
+    assert run("gen", "multiclass", "--n", "600", "--d", "5", "--fractions", "0.45,0.45",
+               "--gamma", "0.1", "--seed", "4", "--out", str(multi)).returncode == 0
+
+    def both(*argv):
+        """stdout of the command, checked equal to the bytes it writes to --out"""
+        r = run(*argv)
+        assert r.returncode == 0
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)).returncode == 0
+        assert out.read_bytes() == r.stdout.encode()
+        return r.stdout
+
+    fit = both("fit", str(pts), "--gamma", "0.25", "--seed", "5")
+    digest, scores = _stripped_digest(fit)
+    assert digest == "13d14f2d2bcdd3801fb9b8eea9d6f956f0f5069b8a180c48361e99cbd90fd783"
+    assert scores == pytest.approx([2.6669076233581586], rel=1e-12)
+    mfit = both("multifit", str(multi), "--fractions", "0.45,0.45", "--gamma", "0.1",
+                "--seed", "4")
+    digest, scores = _stripped_digest(mfit)
+    assert digest == "3e9ead41bdd9cca154b196600dd731b7a920ed5c49b9d7772a253907a4c7d7cb"
+    assert scores == pytest.approx([4.723254108723305, 5.214047360716016], rel=1e-12)
+
+    for text, labels, want in (
+            (fit, pts_labels, "467316e7deac1f388b5876d4ea5e35750d97995c2fb04b1b045d76dd0d2c9c2c"),
+            (mfit, tmp_path / "m.labels.csv",
+             "da07e5be7ef54d6991e8ae3ed69a0a30c184114eee75fc5aae8682c0df204ae3")):
+        res = tmp_path / "r.json"
+        res.write_text(text)
+        ev = both("eval", str(res), str(labels))
+        assert hashlib.sha256(ev.encode()).hexdigest() == want
+
+    # the timing cell differs from run to run
+    argv = ["bench", "--sizes", "300", "--dims", "4", "--runs", "1", "--warmup", "0"]
+    r = run(*argv)
+    out = tmp_path / "bench.csv"
+    assert r.returncode == 0 and run(*argv, "--out", str(out)).returncode == 0
+    for text in (r.stdout, out.read_text()):
+        header, row = text.splitlines()
+        assert header == "n,d,runs,median_ms"
+        assert row.split(",")[:3] == ["300", "4", "1"]
 
 
 # ----------------------------------------------------------- bad input

@@ -225,6 +225,15 @@ def test_ball():
         Ball(center=np.array([[0.0]]), radius=1.0)
     with pytest.raises(InvalidParamsError, match="finite"):
         Ball(center=[np.inf], radius=1.0)
+    # what is not a real vector, or not a real number, is refused, not cast
+    for center in ([1 + 2j], np.array([1 + 2j]), "ab", None):
+        with pytest.raises(InvalidParamsError, match="ball center"):
+            Ball(center=center, radius=1.0)
+    for radius in (None, "x", True, 1 + 0j, np.array([1.0])):
+        with pytest.raises(InvalidParamsError, match="ball radius"):
+            Ball(center=[0.0], radius=radius)
+    c = np.array([1.0, 2.0])
+    assert not np.shares_memory(Ball(center=c, radius=np.float32(0.5)).center, c)
 
 
 def test_s_formula_value():

@@ -4,6 +4,8 @@ The oracle is the test bed for everything else here, so its own checks
 come first and use only hand-derivable geometry.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,6 +181,33 @@ def test_complex_and_empty_input_refused():
     for empty in (np.zeros((2, 0)), [], [[]], np.float64(1.0), np.zeros((2, 2, 2))):
         with pytest.raises(EmptySubsetError):
             approx_meb_center(empty, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_refused(bad):
+    for row, iters in itertools.product((0, 1, 3), (1, 2, 3, 4)):
+        pts = np.arange(8.0).reshape(4, 2)
+        pts[row, 1] = bad
+        for form in (pts, pts.tolist()):
+            # an infinite first point makes numpy warn in `pts - c` first
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(InvalidParamsError, match="^points contain NaN or infinity$"):
+                approx_meb_center(form, iters)
+
+
+@pytest.mark.parametrize("iters", [2, 3, 4])
+def test_overflowing_distances_refused(iters):
+    # every coordinate is finite, but the squared distance between the rows is not
+    with pytest.raises(InvalidParamsError, match="overflow"):
+        approx_meb_center([[1e200, 0.0], [-1e200, 1.0]], iters)
+    # here the first step's distances are finite; from c = 5e153 the
+    # second step's distance to the last row is not
+    pts = [[0.0], [1e154], [-1e154]]
+    if iters == 2:
+        assert approx_meb_center(pts, iters).tolist() == [5e153]
+    else:
+        with pytest.raises(InvalidParamsError, match="overflow"):
+            approx_meb_center(pts, iters)
 
 
 def test_single_point_fixed_point():

@@ -146,17 +146,31 @@ def test_one_center_call_per_node(monkeypatch, fit):
     assert depths == {j: trees * dp.s ** (j - 1) for j in range(1, dp.h + 1)}
 
 
+def _perfbench_hooks():
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("perfbench_hooks",
+                                                  root / "perfbench" / "hooks.py")
+    hooks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(hooks)
+    listed = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+    return hooks, listed
+
+
+def _unmeasured(listed, values, absent):
+    """The per-layer metrics of BENCHMARK.json with no value, but for the
+    two perfbench/run.py measures itself."""
+    return {m["name"]: absent.get(m["name"]) for m in listed
+            if m["name"] not in ("core.dataset_s", "trace.overhead")
+            and values.get(m["name"]) is None}
+
+
 def test_benchmark_hooks_measure_every_layer():
     """perfbench/hooks.py times a fit by swapping wrappers into module
     attributes of mebo; a per-layer metric of BENCHMARK.json has no
     value when a target is renamed or stops being called.  A default
     fit under its tracer passes the self-checks and gives a value for
     every such metric except the two perfbench/run.py measures itself."""
-    root = Path(__file__).resolve().parent.parent
-    spec = importlib.util.spec_from_file_location("perfbench_hooks",
-                                                  root / "perfbench" / "hooks.py")
-    hooks = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(hooks)
+    hooks, listed = _perfbench_hooks()
     p = Params(gamma=0.1, seed=4)
     ds = planted()
     dp = derive_params(p, ds.n)
@@ -167,11 +181,34 @@ def test_benchmark_hooks_measure_every_layer():
         tracer, multiclass=False, candidates=res.candidates_evaluated, s=dp.s, h=dp.h,
         trees=p.forest_size + p.sequential_rounds, out_bytes=None)
     assert problems == []
-    listed = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
-    unmeasured = {m["name"]: absent.get(m["name"]) for m in listed
-                  if m["name"] not in ("core.dataset_s", "trace.overhead")
-                  and values.get(m["name"]) is None}
-    assert unmeasured == {}
+    assert _unmeasured(listed, values, absent) == {}
+
+
+def test_benchmark_hooks_measure_every_layer_of_multifit(tmp_path):
+    """The same for `mebo multifit` run through cli.main, as perfbench's
+    multiclass_cli workload runs it: main reaches peel through
+    mebo.cli.peel, and each stage through mebo.multiclass."""
+    from mebo import cli
+
+    hooks, listed = _perfbench_hooks()
+    ds, _ = gen_multiclass(600, 5, (0.45, 0.45), 0.1, 4)
+    pts, out = tmp_path / "p.csv", tmp_path / "r.json"
+    np.savetxt(pts, ds.points, fmt="%.10g", delimiter=",")
+    p = Params(gamma=0.1, seed=4)
+    dp = derive_params(p, ds.n)
+    tracer = hooks.Tracer()
+    with tracer, tracer.root():
+        code = cli.main(["multifit", str(pts), "--fractions", "0.45,0.45", "--gamma", "0.1",
+                         "--seed", "4", "--out", str(out)])
+    assert code == 0
+    values, absent, problems = hooks.analyse(
+        tracer, multiclass=True, candidates=None, s=dp.s, h=dp.h,
+        trees=2 * (p.forest_size + p.sequential_rounds), out_bytes=out.stat().st_size)
+    assert problems == []
+    assert _unmeasured(listed, values, absent) == {}
+    # a text-only metric, so the check above does not see it: it is timed
+    # up to the first call through mebo.cli.peel
+    assert "cli.load_s" in values, absent.get("cli.load_s")
 
 
 @settings(max_examples=300, deadline=None)
