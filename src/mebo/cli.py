@@ -307,16 +307,23 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="mebo", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="write a synthetic dataset and its labels")
-    g.add_argument("kind", choices=["toy2d", "highdim", "multiclass"])
-    g.add_argument("--n", type=int, default=20000)
-    g.add_argument("--d", type=int, default=100)
-    g.add_argument("--gamma", type=float, default=0.2)
-    g.add_argument("--fractions", type=str, default="0.3,0.3,0.3",
-                   help="comma-separated class fractions (multiclass)")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", required=True, help="points CSV path; labels go beside it")
-    g.set_defaults(fn=cmd_gen)
+    gen = sub.add_parser("gen", help="write a synthetic dataset and its labels")
+    kinds = gen.add_subparsers(dest="kind", required=True)
+    # each kind takes only the flags it reads, so a stray one is refused
+    for kind, text in (("toy2d", "10000 points in the plane"),
+                       ("highdim", "one ball of inliers in d dimensions"),
+                       ("multiclass", "one ball per inlier class")):
+        g = kinds.add_parser(kind, help=text)
+        if kind != "toy2d":
+            g.add_argument("--n", type=int, default=20000)
+            g.add_argument("--d", type=int, default=100)
+            g.add_argument("--gamma", type=float, default=0.2)
+        if kind == "multiclass":
+            g.add_argument("--fractions", type=str, default="0.3,0.3,0.3",
+                           help="comma-separated class fractions")
+        g.add_argument("--seed", type=int, default=0)
+        g.add_argument("--out", required=True, help="points CSV path; labels go beside it")
+        g.set_defaults(fn=cmd_gen)
 
     f = sub.add_parser("fit", help="fit one ball and report its inliers")
     f.add_argument("points", help="points CSV")

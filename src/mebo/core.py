@@ -54,7 +54,7 @@ class Dataset:
     """Immutable n x d matrix of points, one row per point.
 
     Entries must be finite reals, at most sqrt(float max / (4*n*d)) in
-    absolute value (check_limit); both are checked once, here.  The
+    absolute value (check_finite, check_limit), checked once, here.  The
     backing array is copied and marked read-only, so instances are safe
     to share across threads.
     """
@@ -67,11 +67,7 @@ class Dataset:
             raise InvalidParamsError(f"points must be 2-dimensional, got shape {pts.shape}")
         if pts.shape[0] < 1 or pts.shape[1] < 1:
             raise InvalidParamsError(f"need at least one point and one dimension, got shape {pts.shape}")
-        # max and min propagate NaN, so they also find a non-finite entry
-        hi, lo = float(pts.max()), float(pts.min())
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise InvalidParamsError("points contain NaN or infinity")
-        check_limit("coordinates", max(hi, -lo), *pts.shape)
+        check_limit("coordinates", check_finite("points", pts), *pts.shape)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "n", pts.shape[0])
@@ -86,22 +82,22 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Ball:
-    """A center plus a nonnegative radius.  The center is copied to a new
-    float64 array."""
+    """A nonempty finite center plus a radius in [0, inf).  The center is
+    copied to a new float64 array."""
 
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
         c = as_reals("ball center", self.center)
+        r = as_real("ball radius", self.radius)
+        if c.ndim != 1 or c.size == 0:
+            raise InvalidParamsError(f"ball center must be a nonempty flat vector, got shape {c.shape}")
+        check_finite("ball center", c)
+        if not (0.0 <= r < math.inf):
+            raise InvalidParamsError(f"ball radius must be in [0, inf), got {r}")
         object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", as_real("ball radius", self.radius))
-        if c.ndim != 1:
-            raise InvalidParamsError("ball center must be a flat vector")
-        if not np.isfinite(c).all():
-            raise InvalidParamsError("ball center must be finite")
-        if not (self.radius >= 0.0):
-            raise InvalidParamsError(f"ball radius must be >= 0, got {self.radius}")
+        object.__setattr__(self, "radius", r)
 
 
 @dataclass(frozen=True)
@@ -142,14 +138,24 @@ class Params:
                 f"(1+delta)*gamma = {(1 + self.delta) * self.gamma:.6g} must stay below 1, "
                 "otherwise no inliers remain"
             )
-        as_int("forest_size", self.forest_size, 1)
-        as_int("sequential_rounds", self.sequential_rounds, 0)
-        as_seed(self.seed)
+        for name, lo in (("forest_size", 1), ("sequential_rounds", 0)):
+            object.__setattr__(self, name, as_int(name, getattr(self, name), lo))
+        object.__setattr__(self, "seed", as_seed(self.seed))
 
     @property
     def meb_iter_count(self) -> int:
         """Steps of the ball-center recurrence, ceil(1/epsilon^2)."""
         return _ceil_snapped(1.0 / (self.epsilon * self.epsilon))
+
+
+def check_finite(name: str, a: np.ndarray) -> float:
+    """The largest |entry| of a nonempty array a, after refusing a NaN or
+    an infinity in it: the one rule for coordinates.  max and min pass a
+    NaN on, so their two passes find a non-finite entry too."""
+    hi, lo = float(a.max()), float(a.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise InvalidParamsError(f"{name} must be finite, got NaN or infinity")
+    return max(hi, -lo)
 
 
 def check_limit(what: str, big: float, n: int, d: int) -> None:
@@ -163,6 +169,18 @@ def check_limit(what: str, big: float, n: int, d: int) -> None:
             f"{what} must be at most {limit:.6g} in absolute value for "
             f"{n} points in {d} dimensions, or their sums of squares "
             f"overflow; got {big:.6g}")
+
+
+def check_center(ds: Dataset, center) -> np.ndarray:
+    """center as a float64 vector of ds's d coordinates, after refusing
+    one of another shape, one that is not finite and one past the limit
+    ds's points were held to (check_limit): any of these would give a
+    far set and a pivot that mean nothing, or a numpy error or warning."""
+    c = as_reals("center", center)
+    if c.shape != (ds.d,):
+        raise InvalidParamsError(f"center must have shape ({ds.d},), got {c.shape}")
+    check_limit("center coordinates", check_finite("center", c), ds.n, ds.d)
+    return c
 
 
 def as_int(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
@@ -201,17 +219,23 @@ def as_real(name: str, value) -> float:
     raise InvalidParamsError(f"{name} must be a real number, got {value!r}")
 
 
-def as_real_tuple(name: str, value) -> tuple:
-    """value as a tuple of floats, each checked by as_real.  A lone
-    number, text and other values that are not a sequence are refused:
-    iterating over them would fail with a bare TypeError, or read text
-    one character at a time."""
+def as_fractions(name: str, value) -> tuple:
+    """value as a nonempty tuple of floats in (0, 1], each read by
+    as_real: the one rule for class fractions.  A lone number, text and
+    other values that are not a sequence are refused: iterating over
+    them would fail with a bare TypeError, or read text one character
+    at a time."""
+    fr = None
     if not isinstance(value, (str, bytes)):
         try:
-            return tuple(as_real(name, v) for v in value)
+            fr = tuple(as_real(name, v) for v in value)
         except TypeError:
             pass
-    raise InvalidParamsError(f"{name} must be a sequence of real numbers, got {value!r}")
+    if fr is None:
+        raise InvalidParamsError(f"{name} must be a sequence of real numbers, got {value!r}")
+    if not fr or not all(0.0 < f <= 1.0 for f in fr):
+        raise InvalidParamsError(f"{name} must be one or more numbers in (0, 1], got {fr}")
+    return fr
 
 
 def as_reals(name: str, value) -> np.ndarray:

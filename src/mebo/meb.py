@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import EmptySubsetError, InvalidParamsError, as_int, as_reals
+from .core import EmptySubsetError, InvalidParamsError, as_int, as_reals, check_finite
 
 __all__ = ["approx_meb_center"]
 
@@ -53,8 +53,7 @@ def approx_meb_center(points, iters: int) -> np.ndarray:
     if type(iters) is not int or iters < 1:
         iters = as_int("iters", iters, 1)
     if iters == 1:
-        if not np.isfinite(pts).all():
-            _refuse(pts)
+        check_finite("points", pts)
         return pts[0].copy()
     c = pts[0]
     for t in range(1, iters):
@@ -64,7 +63,8 @@ def approx_meb_center(points, iters: int) -> np.ndarray:
         # argmax takes a NaN as the largest, so the first step's test
         # finds every NaN or infinity among the points
         if not sq[far] < math.inf:
-            _refuse(pts)
+            check_finite("points", pts)
+            raise InvalidParamsError("points lie too far apart: their squared distances overflow")
         # the step q - c is the farthest row of diff
         nxt = diff[far]
         nxt /= t + 1.0
@@ -72,10 +72,3 @@ def approx_meb_center(points, iters: int) -> np.ndarray:
         c = nxt
     return c
 
-
-def _refuse(pts):
-    """Raise the error for points whose largest squared distance from a
-    center is not finite."""
-    if not np.isfinite(pts).all():
-        raise InvalidParamsError("points contain NaN or infinity")
-    raise InvalidParamsError("points lie too far apart: their squared distances overflow")

@@ -11,19 +11,17 @@ to rows of the original dataset.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (
     Dataset,
-    InvalidParamsError,
     Params,
     RecognitionResult,
     SpecInfeasibleError,
     _ceil_snapped,
-    as_real_tuple,
+    as_fractions,
     derive_params,
 )
 from .recognition import recognize
@@ -39,13 +37,7 @@ class ClassSpec:
     fractions: tuple
 
     def __post_init__(self):
-        fr = as_real_tuple("class fractions", self.fractions)
-        if len(fr) < 1:
-            raise InvalidParamsError("need at least one class fraction")
-        for f in fr:
-            if not (0.0 < f <= 1.0) or not math.isfinite(f):
-                raise InvalidParamsError(f"class fractions must be in (0, 1], got {f}")
-        object.__setattr__(self, "fractions", fr)
+        object.__setattr__(self, "fractions", as_fractions("class fractions", self.fractions))
 
 
 def peel(ds: Dataset, spec: ClassSpec, p: Params) -> list[RecognitionResult]:

@@ -64,11 +64,11 @@ from .core import (
     Params,
     RecognitionResult,
     as_int,
+    check_center,
     derive_params,
 )
 from .meb import approx_meb_center
 from .selection import (
-    check_center,
     expanded_sq_dists,
     k_smallest_distance,
     split_far,

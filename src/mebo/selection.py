@@ -43,24 +43,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, InvalidParamsError, as_int, as_reals, check_limit
+from .core import Dataset, as_int, check_center
 
 __all__ = ["top_k_farthest", "k_smallest_distance"]
-
-
-def check_center(ds: Dataset, center) -> np.ndarray:
-    """center as a float64 vector of ds's d coordinates, after refusing
-    one of another shape, one that is not finite, and one beyond the
-    limit ds's points were held to when ds was made (core.check_limit):
-    any of these would give a far set and a pivot that mean nothing, or
-    a numpy error or warning."""
-    c = as_reals("center", center)
-    if c.shape != (ds.d,):
-        raise InvalidParamsError(f"center must have shape ({ds.d},), got {c.shape}")
-    if not np.isfinite(c).all():
-        raise InvalidParamsError("center contains NaN or infinity")
-    check_limit("center coordinates", max(float(c.max()), -float(c.min())), ds.n, ds.d)
-    return c
 
 
 def expanded_sq_dists(X: np.ndarray, sqn: np.ndarray, C: np.ndarray,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, InvalidParamsError, as_int, as_real, as_real_tuple, as_seed
+from .core import Dataset, InvalidParamsError, as_fractions, as_int, as_real, as_seed
 
 __all__ = ["gen_toy_2d", "gen_highdim", "gen_multiclass"]
 
@@ -89,10 +89,8 @@ def gen_multiclass(n: int, d: int, fractions, gamma: float, seed: int):
     standard deviation).  Returns (Dataset, labels) with labels in
     {0 (outlier), 1..C}.
     """
-    fr = as_real_tuple("fractions", fractions)
+    fr = as_fractions("fractions", fractions)
     n, d, gamma, seed = _checked(n, d, gamma, seed)
-    if len(fr) < 1 or any(not (0.0 < f < 1.0) for f in fr):
-        raise InvalidParamsError(f"fractions must lie in (0, 1), got {fr}")
     if not (0.0 <= gamma < 1.0):
         raise InvalidParamsError(f"gamma must be in [0, 1), got {gamma}")
     if abs(sum(fr) + gamma - 1.0) > 1e-9:

@@ -74,6 +74,19 @@ def test_gen_multiclass_bad_fractions(tmp_path):
     assert r.stderr == "mebo: error: fractions plus gamma must equal 1, got 1.2\n"
 
 
+@pytest.mark.parametrize("argv", [["toy2d", "--n", "50", "--d", "7"],
+                                  ["highdim", "--fractions", "9,9"]], ids=" ".join)
+def test_gen_refuses_flags_its_kind_does_not_read(tmp_path, argv):
+    # each kind takes only the flags it reads; a stray one is refused
+    # before any file is written
+    r = run("gen", *argv, "--out", str(tmp_path / "t.csv"))
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("usage: mebo")
+    assert r.stderr.endswith(f"mebo: error: unrecognized arguments: {' '.join(argv[1:])}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ----------------------------------------------------------------- fit
 
 
@@ -419,6 +432,17 @@ def test_bench_bad_counts_exit_1(flags):
     assert r.returncode == 1
     assert r.stdout == ""
     assert r.stderr.startswith("mebo: error: ") and flags[0] in r.stderr
+
+
+def test_bad_list_exit_1(tmp_path):
+    pts = tmp_path / "p.csv"
+    write_planted(pts)
+    for argv, message in [
+            (["bench", "--sizes", "5,x"], "bad --sizes list: '5,x'"),
+            (["multifit", str(pts), "--gamma", "0.1", "--fractions", "0.3,,0.3"],
+             "bad fractions list: '0.3,,0.3'")]:
+        r = run(*argv)
+        assert (r.returncode, r.stdout, r.stderr) == (1, "", f"mebo: error: {message}\n")
 
 
 def test_bad_gamma_exit_1(tmp_path):

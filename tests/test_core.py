@@ -1,5 +1,7 @@
 """Types, validation, and derived-parameter arithmetic."""
 
+import dataclasses
+import json
 import math
 import re
 import tracemalloc
@@ -8,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import mebo
 from mebo import (
@@ -18,7 +21,11 @@ from mebo import (
     InvalidParamsError,
     MeboError,
     Params,
+    approx_meb_center,
     derive_params,
+    k_smallest_distance,
+    score_candidate,
+    top_k_farthest,
 )
 
 
@@ -157,6 +164,9 @@ def test_params_accept_numpy_integers():
     p = Params(gamma=0.1, forest_size=np.int64(2), sequential_rounds=np.int32(0),
                seed=np.uint64(2**63))
     assert (p.forest_size, p.sequential_rounds, p.seed) == (2, 0, 2**63)
+    # the checked values are kept: plain ints, which JSON can write
+    assert [type(v) for v in (p.forest_size, p.sequential_rounds, p.seed)] == [int] * 3
+    assert json.loads(json.dumps(dataclasses.asdict(p)))["seed"] == 2**63
 
 
 def test_params_store_real_fields_as_floats():
@@ -225,6 +235,11 @@ def test_ball():
         Ball(center=np.array([[0.0]]), radius=1.0)
     with pytest.raises(InvalidParamsError, match="finite"):
         Ball(center=[np.inf], radius=1.0)
+    for radius in (np.inf, np.nan):
+        with pytest.raises(InvalidParamsError, match=r"ball radius must be in \[0, inf\)"):
+            Ball(center=[0.0], radius=radius)
+    with pytest.raises(InvalidParamsError, match="nonempty"):
+        Ball(center=[], radius=1.0)
     # what is not a real vector, or not a real number, is refused, not cast
     for center in ([1 + 2j], np.array([1 + 2j]), "ab", None):
         with pytest.raises(InvalidParamsError, match="ball center"):
@@ -234,6 +249,33 @@ def test_ball():
             Ball(center=[0.0], radius=radius)
     c = np.array([1.0, 2.0])
     assert not np.shares_memory(Ball(center=c, radius=np.float32(0.5)).center, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_one_rule_for_non_finite_coordinates(data, bad):
+    # a NaN or an infinity anywhere in points, a center or a ball center
+    # is refused by core.check_finite, with one wording
+    X = data.draw(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)),
+                             elements=st.floats(-1e100, 1e100)))
+    n, d = X.shape
+    ds = Dataset(X)
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1))
+    points, center = X.copy(), X[0].copy()
+    points[i, j] = center[j] = bad
+    calls = [("points", lambda: Dataset(points)),
+             ("ball center", lambda: Ball(center=center, radius=1.0)),
+             ("center", lambda: top_k_farthest(ds, center, 1)),
+             ("center", lambda: k_smallest_distance(ds, center, 1)),
+             ("center", lambda: score_candidate(ds, center, n))]
+    calls += [("points", lambda form=form, iters=iters: approx_meb_center(form, iters))
+              for form in (points, points.tolist()) for iters in (1, 2, 3)]
+    for name, call in calls:
+        # an infinite first point makes numpy warn in approx_meb_center's `pts - c`
+        with np.errstate(invalid="ignore" if i == 0 else "warn"), \
+                pytest.raises(InvalidParamsError) as exc:
+            call()
+        assert str(exc.value) == f"{name} must be finite, got NaN or infinity"
 
 
 def test_s_formula_value():

@@ -191,7 +191,7 @@ def test_non_finite_points_refused(bad):
         for form in (pts, pts.tolist()):
             # an infinite first point makes numpy warn in `pts - c` first
             with np.errstate(invalid="ignore"), \
-                    pytest.raises(InvalidParamsError, match="^points contain NaN or infinity$"):
+                    pytest.raises(InvalidParamsError, match="^points must be finite, got NaN or infinity$"):
                 approx_meb_center(form, iters)
 
 

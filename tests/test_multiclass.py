@@ -46,6 +46,17 @@ def test_classspec_fractions_must_be_a_sequence(bad):
         ClassSpec(bad)
 
 
+@pytest.mark.parametrize("bad", [(), (0.5, 0.0), (0.5, 1.2), (float("nan"),)], ids=repr)
+def test_one_fraction_rule(bad):
+    # ClassSpec and gen_multiclass refuse a fraction outside (0, 1] alike
+    with pytest.raises(InvalidParamsError) as spec:
+        ClassSpec(bad)
+    with pytest.raises(InvalidParamsError) as gen:
+        gen_multiclass(100, 5, bad, 0.1, 0)
+    assert str(spec.value) == "class " + str(gen.value)
+    assert str(gen.value) == f"fractions must be one or more numbers in (0, 1], got {bad}"
+
+
 def test_peel_budget_infeasible():
     ds = two_far_blobs()
     with pytest.raises(SpecInfeasibleError):

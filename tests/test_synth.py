@@ -91,6 +91,11 @@ def test_multiclass_validation():
         gen_multiclass(100, 5, (0.5,), 1.0, seed=0)
 
 
+def test_multiclass_one_class_without_outliers():
+    ds, labels = gen_multiclass(50, 3, (1.0,), 0.0, seed=0)
+    assert ds.n == 50 and (labels == 1).all()
+
+
 # counts and seeds must be integers and gamma and fractions real numbers,
 # refused up front rather than by numpy deep inside a generator
 BAD_GENERATOR_CALLS = {
