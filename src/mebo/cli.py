@@ -44,6 +44,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    # each sub-parser refuses the flags it does not read itself, so a
+    # stray flag comes with that command's usage, not the top level's
+    def parse_known_args(self, args=None, namespace=None):
+        args, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return args, extras
+
 
 # ---------------------------------------------------------------- I/O
 
@@ -244,6 +252,8 @@ def cmd_eval(args) -> str:
         if not isinstance(rec, dict) or "inliers" not in rec:
             raise MeboError(f'{w}no "inliers" list')
     labels = _load_csv(args.labels, int)
+    if labels.min() < 0:
+        raise MeboError(f"{args.labels}: labels must be >= 0, got {labels.min()}")
     n = labels.shape[0]
     preds = [as_index_set(w + "inlier", rec["inliers"], n) for w, rec in zip(where, records)]
     if multi:

@@ -3,8 +3,8 @@
 A tree node carries the approximate enclosing-ball center of the points
 along its root-to-node path.  Children are sampled from the k points
 farthest from that center, so paths chase whatever the current center
-fails to cover.  Every node contributes one candidate; the candidate
-whose m nearest points have the smallest total variance wins.
+fails to cover.  Every node contributes one candidate, scored by the
+total variance of the m points nearest its center.
 
 One loop grows every fit: a tree per dataset root, then sequential
 rounds that re-root at the best center so far.  recognize,
@@ -15,24 +15,27 @@ A node's score and far set depend on its center alone, and most nodes
 repeat a center: a child whose new point is no farther from the root
 keeps its parent's center bit for bit.  So scoring costs O(n*d) per
 distinct center, and nodes with equal centers share one score, the
-first the fit computed for that center.  A tree layer's centers are
-computed first, one approx_meb_center call per node on its path's
-points, which are gathered a bounded slice of the layer at a time.
-One table per layer, from a center's bytes to the ascending rows with
-that center, gives the distinct centers that need a score or a far
-set, the rows that draw from each far set and each row's score.  Those
-centers are stacked and scored a chunk at a time, and a chunk holds at
-least d centers: one GEMM gives the chunk's expanded squared
-distances, the selection module's split_far turns each row into its
-0/1 split at the k farthest points, and one GEMM of those splits with
-X (and one with the squared norms) gives every center's inlier sums.
-So X is streamed twice per chunk, not twice per node; summing each
-center's far rows by a gather instead was 3.5-15 times slower per
-center than that GEMM.  The nodes of an internal layer draw their
-children as soon as their center's far set exists.  A far set is kept
-for the next layer only when that layer draws too, so a child with its
-parent's center is not split again, and a far set of the last internal
-layer lives only while its nodes draw.
+first the fit computed for that center.  The winner is picked where
+that score enters the memo: a center wins if its score is below every
+earlier one, and centers enter in the order of their first node, so the
+winner is the first candidate with the least score.  A tree layer's
+centers are computed first, one approx_meb_center call per node on its
+path's points, which are gathered a bounded slice of the layer at a
+time.  One table per layer, from a center's bytes to the ascending rows
+with that center, gives the distinct centers that need a score or a far
+set and the rows that draw from each far set.  Those centers are
+stacked and scored a chunk at a time, and a chunk holds at least d
+centers: one GEMM gives the chunk's expanded squared distances, the
+selection module's split_far turns each row into its 0/1 split at the k
+farthest points, and one GEMM of those splits with X (and one with the
+squared norms) gives every center's inlier sums.  So X is streamed
+twice per chunk, not twice per node; summing each center's far rows by
+a gather instead was 3.5-15 times slower per center than that GEMM.
+The nodes of an internal layer draw their children as soon as their
+center's far set exists.  A far set is kept for the next layer only
+when that layer draws too, so a child with its parent's center is not
+split again, and a far set of the last internal layer lives only while
+its nodes draw.
 A node's split is the one top_k_farthest makes, by construction: both
 go through split_far, which places the few points that rounding of the
 expanded distance could move across the pivot by their direct distance
@@ -127,8 +130,9 @@ _GATHER_BYTES = 1 << 16
 
 class _FitContext:
     """Per-run precomputed squared norms shared by every tree of a run,
-    the distance block every chunk of centers is scored in, and the
-    first score computed for each center, keyed by the center's bytes."""
+    the distance block every chunk of centers is scored in, the first
+    score computed for each center, keyed by the center's bytes, and the
+    winner so far with its score."""
 
     def __init__(self, ds: Dataset):
         X = ds.points
@@ -137,7 +141,7 @@ class _FitContext:
         self.sqn = np.einsum("ij,ij->i", X, X)
         rows = min(max(_CHUNK_BYTES // (8 * n), d), _CHUNK_PER_DIM * d)
         self.dists = np.empty((max(1, rows), n))
-        self.scores = {}
+        self.scores, self.best, self.best_score = {}, None, math.inf
 
 
 def _score_chunk(ctx: _FitContext, C: np.ndarray, k: int, m: int):
@@ -148,15 +152,17 @@ def _score_chunk(ctx: _FitContext, C: np.ndarray, k: int, m: int):
     The score is the total variance of the m points nearest to a center
     c, from their sums s1 = sum x and q = sum |x|^2:
     (q - 2 c.s1)/m + |c|^2 - |s1/m - c|^2.  One GEMM gives the chunk's
-    distances and one GEMM of its splits with X gives the sums; with
-    k == 0 (m = n) they are X's column and norm sums, taken only here.
+    distances and one GEMM of its splits with X gives the sums.  With
+    k == 0 (m = n) every center keeps every point, so every center gets
+    one score, X's total variance, taken in two passes as score_candidate
+    takes it.
     """
     if k == 0:
-        near, s1, q = None, np.broadcast_to(ctx.X.sum(axis=0), C.shape), float(ctx.sqn.sum())
-    else:
-        E = expanded_sq_dists(ctx.X, ctx.sqn, C, out=ctx.dists[:C.shape[0]])
-        near = split_far(ctx.X, C, E, k)
-        s1, q = near @ ctx.X, near @ ctx.sqn
+        dev = ctx.X - ctx.X.mean(axis=0)
+        return np.full(C.shape[0], float(np.einsum("ij,ij->i", dev, dev).mean())), None
+    E = expanded_sq_dists(ctx.X, ctx.sqn, C, out=ctx.dists[:C.shape[0]])
+    near = split_far(ctx.X, C, E, k)
+    s1, q = near @ ctx.X, near @ ctx.sqn
     dd = s1 / m - C
     scores = ((q - 2.0 * np.einsum("ij,ij->i", C, s1)) / m
               + np.einsum("ij,ij->i", C, C) - np.einsum("ij,ij->i", dd, dd))
@@ -164,12 +170,12 @@ def _score_chunk(ctx: _FitContext, C: np.ndarray, k: int, m: int):
 
 
 def _path_centers(X: np.ndarray, paths: np.ndarray, iters: int,
-                  head: np.ndarray | None) -> np.ndarray:
+                  point: np.ndarray) -> np.ndarray:
     """The MEB center of each path's points, one row per path.
 
     The points are gathered one bounded slice of paths at a time, into
-    one buffer per slice: column 0 of every path is its root's row of X,
-    or head for a virtual root, whose row number is not a row of X.
+    one buffer per slice: every path's points lead with point, the
+    tree's root, and the rest are rows of X.
     """
     L, depth = paths.shape
     C = np.empty((L, X.shape[1]))
@@ -177,7 +183,7 @@ def _path_centers(X: np.ndarray, paths: np.ndarray, iters: int,
     for a in range(0, L, step):
         rows = paths[a:a + step]
         P = np.empty((len(rows), depth, X.shape[1]))
-        P[:, 0] = X[rows[:, 0]] if head is None else head
+        P[:, 0] = point
         P[:, 1:] = X[rows[:, 1:]]
         C[a:a + step] = [approx_meb_center(pts, iters) for pts in P]
     return C
@@ -207,24 +213,24 @@ def _draw_children(seed: int, tree_id: int, far: np.ndarray, path: np.ndarray,
     return far[j]
 
 
-def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, tree_id: int,
-          head: np.ndarray | None = None):
+def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, point: np.ndarray,
+          tree_id: int):
     """Grow one tree breadth first, yielding each layer as (paths,
-    centers, scores): one row per node, in layer order.
+    centers): one row per node, in layer order.
 
-    root is a dataset row, or a row number >= n standing for the virtual
-    point head.  A virtual root leads every path's points in the ball
-    computation but never appears among reported path indices.  Each
-    layer keeps one table, from center bytes to the ascending rows with
-    that center; the centers scored, the draws and the rows' scores all
+    root is the root's row number (a dataset row, or >= n for a virtual
+    root), which keys the streams and leads the paths; point is the
+    root itself, which leads every path's points in the ball
+    computation.  Each layer keeps one table, from center bytes to the
+    ascending rows with that center; the centers scored and the draws
     read it.  A layer that does not draw scores the centers the fit has
     not scored yet; a layer that draws scores every center whose far set
-    the previous layer did not hold, and a center scored again keeps its
-    first score.  Each node's children are drawn from its own stream,
-    from its center's far set less its own path points, as soon as that
-    far set exists: first from the previous layer's far sets, which are
-    then let go, then from each chunk's.  A far set is held for the next
-    layer only when that layer draws too.
+    the previous layer did not hold.  A center's first score enters
+    ctx.scores, and ctx.best with it.  Each node's children are drawn
+    from its own stream, from its center's far set less its own path
+    points, as soon as that far set exists: first from the previous
+    layer's far sets, which are then let go, then from each chunk's.  A
+    far set is held for the next layer only when that layer draws too.
     """
     X, iters, k = ctx.X, p.meb_iter_count, dp.k
     step = ctx.dists.shape[0]
@@ -232,7 +238,7 @@ def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, tree_id: in
     held = {}  # far sets of the previous layer's centers, by center bytes
     for depth in range(1, dp.h + 1):
         internal = depth < dp.h and k > 0
-        C = _path_centers(X, paths, iters, head)
+        C = _path_centers(X, paths, iters, point)
         rows = {}  # center bytes -> the ascending rows with that center
         for i, c in enumerate(C):
             rows.setdefault(c.tobytes(), []).append(i)
@@ -252,17 +258,16 @@ def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, tree_id: in
             chunk = todo[a:a + step]
             scores, near = _score_chunk(ctx, C[[rows[key][0] for key in chunk]], k, dp.m)
             for j, key in enumerate(chunk):
-                ctx.scores.setdefault(key, float(scores[j]))
+                if key not in ctx.scores:
+                    ctx.scores[key] = score = float(scores[j])
+                    if score < ctx.best_score:
+                        ctx.best, ctx.best_score = C[rows[key][0]], score
                 if internal:
                     far = np.flatnonzero(near[j] == 0.0)
                     draw(key, far)
                     if depth + 1 < dp.h:  # the next layer draws too
                         held[key] = far
-        score = [0.0] * len(C)
-        for key, r in rows.items():
-            for i in r:
-                score[i] = ctx.scores[key]
-        yield paths, C, score
+        yield paths, C
         if not internal:
             break
         # the next layer is each row's path extended by one child, in row
@@ -278,30 +283,25 @@ def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, tree_id: in
 def _drive(ds: Dataset, p: Params, dp: DerivedParams, roots, rounds: int,
            out: list | None = None):
     """Grow one tree per dataset root, then `rounds` sequential rounds,
-    each rooted at the best center found so far.
+    each rooted at the winner so far, and return the winner _grow keeps
+    and the number of candidates.
 
-    Returns the best center (the first candidate attaining the minimum
-    score) and the number of candidates; when out is a list, every
-    candidate is appended to it in order.  Tree ids count up from 0
-    over the roots and then the rounds.  Round j's virtual root is row
-    n + j, a number that keys the random streams of that round's nodes.
+    When out is a list, every candidate is appended to it in order, with
+    its center's score from the memo.  Tree ids count up from 0 over the
+    roots and then the rounds.  Round j's virtual root is row n + j, a
+    number that keys the random streams of that round's nodes.
     """
     ctx = _FitContext(ds)
-    best, best_score, count = None, math.inf, 0
+    count = 0
     for t in range(len(roots) + rounds):
-        if t < len(roots):
-            root, head = int(roots[t]), None
-        else:
-            root, head = ds.n + t - len(roots), best
-        for paths, C, scores in _grow(ctx, p, dp, root, t, head):
-            i = scores.index(min(scores))
-            if scores[i] < best_score:
-                best, best_score = C[i], scores[i]
-            count += len(scores)
+        root = int(roots[t]) if t < len(roots) else ds.n + t - len(roots)
+        point = ds.points[root] if root < ds.n else ctx.best
+        for paths, C in _grow(ctx, p, dp, root, point, t):
+            count += len(C)
             if out is not None:
                 out.extend(Candidate(center=c, path=tuple(int(v) for v in path if v < ds.n),
-                                     score=s) for path, c, s in zip(paths, C, scores))
-    return best, count
+                                     score=ctx.scores[c.tobytes()]) for path, c in zip(paths, C))
+    return ctx.best, count
 
 
 def _candidates(ds: Dataset, p: Params, roots, rounds: int) -> list:
@@ -346,14 +346,10 @@ def boost_forest(ds: Dataset, p: Params) -> list:
 
 
 def boost_sequential(ds: Dataset, p: Params) -> list:
-    """Candidates of 1 + sequential_rounds trees, each after the first
-    re-rooted at the best center so far.
-
-    Round 1 grows from a random dataset point.  Later rounds root at the
-    minimum-score candidate center found so far, treated as a virtual
-    point that participates in every path's ball computation but never
-    appears among reported path indices.
-    """
+    """Candidates of 1 + sequential_rounds trees: one from a random
+    dataset point, then rounds rooted at the winner so far, a virtual
+    point that leads every path's ball computation but never appears
+    among reported path indices."""
     return _candidates(ds, p, _random_roots(p.seed, ds.n, 1), p.sequential_rounds)
 
 

@@ -77,13 +77,14 @@ def test_gen_multiclass_bad_fractions(tmp_path):
 @pytest.mark.parametrize("argv", [["toy2d", "--n", "50", "--d", "7"],
                                   ["highdim", "--fractions", "9,9"]], ids=" ".join)
 def test_gen_refuses_flags_its_kind_does_not_read(tmp_path, argv):
-    # each kind takes only the flags it reads; a stray one is refused
-    # before any file is written
+    # each kind takes only the flags it reads; a stray one is refused,
+    # with the kind's usage, before any file is written
     r = run("gen", *argv, "--out", str(tmp_path / "t.csv"))
     assert r.returncode == 1
     assert r.stdout == ""
-    assert r.stderr.startswith("usage: mebo")
-    assert r.stderr.endswith(f"mebo: error: unrecognized arguments: {' '.join(argv[1:])}\n")
+    assert r.stderr.startswith(f"usage: mebo gen {argv[0]} ")
+    assert r.stderr.endswith(
+        f"mebo gen {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -222,6 +223,16 @@ def test_eval_labels_with_several_columns(tmp_path, text):
     error = ("row 1, column 2: not a valid number: '1_0'" if "1_0" in text
              else "expected one label per row, got 2 columns")
     assert r.stderr == f"mebo: error: {labels}: {error}\n"
+    assert r.stdout == ""
+
+
+def test_eval_refuses_negative_labels(tmp_path):
+    res, labels = tmp_path / "r.json", tmp_path / "l.csv"
+    res.write_text(json.dumps({"inliers": [0, 1]}))
+    labels.write_text("1\n-2\n0\n")
+    r = run("eval", str(res), str(labels))
+    assert r.returncode == 1
+    assert r.stderr == f"mebo: error: {labels}: labels must be >= 0, got -2\n"
     assert r.stdout == ""
 
 

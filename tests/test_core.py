@@ -191,6 +191,7 @@ def test_dataset_immutable():
         ds.points[0, 0] = 1.0
     with pytest.raises(AttributeError):
         ds.n = 5
+    assert repr(ds) == "Dataset(n=3, d=2)"
 
 
 @pytest.mark.parametrize("as_list", [False, True])

@@ -65,7 +65,8 @@ def test_range_validation():
 
 
 @pytest.mark.parametrize("bad", [[1.5], np.array([1.0]), ["a"], [2**70], [True],
-                                 [1, True], np.array([True]), 1, np.int64(1)], ids=repr)
+                                 [1, True], np.array([True]), 1, np.int64(1),
+                                 [[1], [2, 3]]], ids=repr)
 def test_indices_must_be_integers(bad):
     # as `mebo eval` demands of a result file: nothing is truncated
     for args in ((bad, [1], 3), ([1], bad, 3)):

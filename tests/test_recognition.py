@@ -645,6 +645,45 @@ def test_recognize_toy2d_output_pinned():
     assert res.score == pytest.approx(1.49104936620816, rel=1e-12)
 
 
+# (epsilon, engine call) -> candidate count, digest of every path and
+# center, then the sum, the position-weighted sum and the least score
+_CANDIDATE_PINS = {
+    (0.8, "grow_tree"): (156, "782c01cd46cc852e",
+                         39684.454373573826, 3128189.4962361376, 5.287223464386832),
+    (0.8, "boost_forest"): (624, "0e07138c2270b76c",
+                            144030.84760140372, 41364954.41557359, 5.118908609424416),
+    (0.8, "boost_sequential"): (468, "2f90dc47334bbd95",
+                                104891.09840162165, 27710796.491833486, 5.18426091072423),
+    (0.5, "grow_tree"): (1555, "4d66607eb142acd7",
+                         375174.62949532724, 295406996.4756816, 5.12579945466762),
+    (0.5, "boost_forest"): (6220, "1c28d5621f6948d0",
+                            1520616.709960986, 4397234909.492522, 5.118908609424416),
+    (0.5, "boost_sequential"): (4665, "3f6e27557ef1d466",
+                                1266907.8848610707, 3182205481.936647, 5.131407151532255),
+}
+
+
+@pytest.mark.parametrize("epsilon, grow", list(_CANDIDATE_PINS))
+def test_every_candidate_pinned(epsilon, grow):
+    # every path and center bit for bit, in order, and the scores to
+    # the last bits that SIMD reductions may move; epsilon 0.5 grows
+    # five layers, so far sets are held across two of them
+    ds = planted(340, 60, 6, seed=3)
+    p = Params(gamma=0.15, epsilon=epsilon, delta=0.5, seed=4)
+    count, digest, total, weighted, least = _CANDIDATE_PINS[epsilon, grow]
+    cands = grow_tree(ds, p, 7) if grow == "grow_tree" else getattr(mebo, grow)(ds, p)
+    h = hashlib.sha256()
+    for c in cands:
+        h.update(np.asarray(c.path, dtype=np.int64).tobytes())
+        h.update(c.center.tobytes())
+    scores = np.array([c.score for c in cands])
+    assert len(cands) == count
+    assert h.hexdigest()[:16] == digest
+    assert scores.sum() == pytest.approx(total, rel=1e-12)
+    assert scores @ np.arange(1, count + 1) == pytest.approx(weighted, rel=1e-12)
+    assert scores.min() == pytest.approx(least, rel=1e-12)
+
+
 def test_recognize_radius_covers_exactly_m():
     ds = planted(200, 50, 3, seed=19)
     p = Params(gamma=0.2, seed=3)
@@ -682,6 +721,19 @@ def test_recognize_gamma_zero_plain_ball():
     assert np.array_equal(res.inliers, np.arange(60))
     cover = np.linalg.norm(X - res.ball.center, axis=1).max()
     assert res.ball.radius == pytest.approx(cover, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gamma_zero_centers_share_one_score(seed):
+    # with k = 0 every center keeps all n points, so the first root wins,
+    # not whichever center rounding favoured, with the score reported
+    ds = Dataset(np.random.default_rng(seed).normal(size=(500, 5)) + 3.0)
+    p = Params(gamma=0.0, seed=seed)
+    cands = boost_forest(ds, p) + boost_sequential(ds, p)
+    assert len({c.score for c in cands}) == 1
+    res = recognize(ds, p)
+    assert res.ball.center.tobytes() == cands[0].center.tobytes()
+    assert res.score == cands[0].score
 
 
 def test_recognize_tie_heavy_integer_data():
