@@ -119,6 +119,19 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _outputs(args) -> list:
+    """The files a command writes: --out, and for gen the labels file
+    beside it."""
+    if args.out is None:
+        return []
+    if not args.out:
+        raise MeboError("--out must name a file, got ''")
+    if args.command != "gen":
+        return [args.out]
+    out = Path(args.out)
+    return [args.out, str(out.with_name(out.stem + ".labels" + (out.suffix or ".csv")))]
+
+
 # ------------------------------------------------------------- params
 
 
@@ -180,8 +193,7 @@ def cmd_gen(args) -> None:
     else:
         fr = _parse_list(args.fractions, float, "fractions")
         ds, labels = gen_multiclass(args.n, args.d, fr, args.gamma, args.seed)
-    out = Path(args.out)
-    labels_path = out.with_name(out.stem + ".labels" + (out.suffix or ".csv"))
+    out, labels_path = map(Path, _outputs(args))
     np.savetxt(out, ds.points, fmt="%.10g", delimiter=",")
     np.savetxt(labels_path, labels, fmt="%d")
     print(f"wrote {out} ({ds.n} rows) and {labels_path}", file=sys.stderr)
@@ -257,15 +269,8 @@ def cmd_eval(args) -> str:
     n = labels.shape[0]
     preds = [as_index_set(w + "inlier", rec["inliers"], n) for w, rec in zip(where, records)]
     if multi:
-        per_class = []
-        for pred, lab, true in _match_classes(preds, labels):
-            r = f1(pred, true, n)
-            per_class.append({
-                "matched_label": lab,
-                "precision": r.precision,
-                "recall": r.recall,
-                "f1": r.f1,
-            })
+        per_class = [{"matched_label": lab, **f1(pred, true, n)._asdict()}
+                     for pred, lab, true in _match_classes(preds, labels)]
         out = {
             "classes": per_class,
             "average_f1": sum(c["f1"] for c in per_class) / len(per_class),
@@ -274,12 +279,9 @@ def cmd_eval(args) -> str:
     else:
         pred = preds[0]
         true = np.flatnonzero(labels >= 1)
-        r = f1(pred, true, n)
         out = {
-            "precision": r.precision,
-            "recall": r.recall,
-            "f1": r.f1,
-            "empty_prediction": r.empty_prediction,
+            **f1(pred, true, n)._asdict(),
+            "empty_prediction": pred.size == 0,
             "predicted_count": int(pred.size),
             "true_count": int(true.size),
             "n": int(n),
@@ -369,11 +371,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
-    made = False  # whether --out is a file this call created
+    made = []  # the output files this call created
     try:
-        if args.out:  # refused before the work; append mode truncates nothing
-            made = not os.path.lexists(args.out)
-            open(args.out, "a").close()
+        # refused before the work; append mode truncates nothing
+        for path in _outputs(args):
+            if not os.path.lexists(path):
+                made.append(path)
+            open(path, "a").close()
         text = args.fn(args)  # None from gen, which writes its own files
         if text is not None and args.out:
             Path(args.out).write_text(text)
@@ -388,8 +392,8 @@ def main(argv=None) -> int:
         where = "" if exc.filename is None else f"{exc.filename}: "
         print(f"mebo: error: {where}{exc.strerror or exc}", file=sys.stderr)
         code = 2
-    if made:  # a failed command leaves no empty or partial --out behind
-        Path(args.out).unlink(missing_ok=True)
+    for path in made:  # a failed command leaves no empty or partial file behind
+        Path(path).unlink(missing_ok=True)
     return code
 
 

@@ -76,6 +76,11 @@ class Dataset:
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")
 
+    def __reduce__(self):
+        # a copy or an unpickled one is rebuilt, so its points are checked
+        # and read-only again
+        return Dataset, (self.points,)
+
     def __repr__(self) -> str:
         return f"Dataset(n={self.n}, d={self.d})"
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .core import InvalidParamsError, as_int
@@ -9,29 +11,12 @@ from .core import InvalidParamsError, as_int
 __all__ = ["F1Result", "f1"]
 
 
-class F1Result(tuple):
-    """(precision, recall, f1) triple; unpacks like a plain tuple.
+class F1Result(NamedTuple):
+    """The precision, recall and F1 of one predicted inlier set."""
 
-    empty_prediction is True when the predicted set was empty, in which
-    case precision is undefined and reported as 0.
-    """
-
-    def __new__(cls, precision, recall, f1_value, empty_prediction=False):
-        self = super().__new__(cls, (precision, recall, f1_value))
-        self.empty_prediction = bool(empty_prediction)
-        return self
-
-    @property
-    def precision(self):
-        return self[0]
-
-    @property
-    def recall(self):
-        return self[1]
-
-    @property
-    def f1(self):
-        return self[2]
+    precision: float
+    recall: float
+    f1: float
 
 
 def as_index_set(name: str, idx, n: int) -> np.ndarray:
@@ -63,18 +48,17 @@ def f1(predicted_inliers, true_inliers, n: int) -> F1Result:
 
     precision = |pred & true| / |pred|, recall = |pred & true| / |true|,
     f1 their harmonic mean (0 when both rates are 0).  An empty
-    prediction yields 0 precision and sets the empty_prediction flag.
-    Indices must lie in [0, n), n an integer >= 0.
+    prediction yields 0 precision.  Indices must lie in [0, n), n an
+    integer >= 0.
     """
     n = as_int("n", n, 0)
     pred = as_index_set("predicted", predicted_inliers, n)
     true = as_index_set("true", true_inliers, n)
     hits = np.intersect1d(pred, true, assume_unique=True).size
-    empty = pred.size == 0
-    precision = 0.0 if empty else hits / pred.size
+    precision = 0.0 if pred.size == 0 else hits / pred.size
     recall = 0.0 if true.size == 0 else hits / true.size
     if precision + recall == 0.0:
         score = 0.0
     else:
         score = 2.0 * precision * recall / (precision + recall)
-    return F1Result(precision, recall, score, empty)
+    return F1Result(precision, recall, score)

@@ -88,6 +88,21 @@ def test_gen_refuses_flags_its_kind_does_not_read(tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_gen_checks_its_labels_file_first(tmp_path):
+    # the labels path is a directory: refused before the points are made,
+    # so a points file already there keeps its bytes and a new one is removed
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_bytes(b"old content\n")
+    for out in (old, new):
+        labels = tmp_path / (out.stem + ".labels.csv")
+        labels.mkdir()
+        r = run("gen", "toy2d", "--out", str(out))
+        assert r.returncode == 2
+        assert r.stderr == f"mebo: error: {labels}: Is a directory\n"
+    assert old.read_bytes() == b"old content\n"
+    assert not new.exists()
+
+
 # ----------------------------------------------------------------- fit
 
 
@@ -234,6 +249,18 @@ def test_eval_refuses_negative_labels(tmp_path):
     assert r.returncode == 1
     assert r.stderr == f"mebo: error: {labels}: labels must be >= 0, got -2\n"
     assert r.stdout == ""
+
+
+def test_eval_empty_prediction(tmp_path):
+    res, labels = tmp_path / "r.json", tmp_path / "l.csv"
+    res.write_text(json.dumps({"inliers": []}))
+    labels.write_text("1\n1\n1\n0\n0\n")
+    r = run("eval", str(res), str(labels))
+    assert (r.returncode, r.stderr) == (0, "")
+    got = json.loads(r.stdout)
+    assert got["empty_prediction"] is True
+    assert got == {"empty_prediction": True, "precision": 0.0, "recall": 0.0, "f1": 0.0,
+                   "predicted_count": 0, "true_count": 3, "n": 5}
 
 
 # ------------------------------------------------------------ multifit
@@ -413,7 +440,22 @@ def test_unwritable_out_exit_2(tmp_path, command):
     assert r.stderr == f"mebo: error: {out}: No such file or directory\n"
 
 
-@pytest.mark.parametrize("case", ["bad_csv", "infeasible", "missing_points"])
+@pytest.mark.parametrize("command", ["gen", "fit", "eval", "bench"])
+def test_empty_out_refused(tmp_path, command):
+    argv = {
+        "gen": ["toy2d"],
+        "fit": [str(tmp_path / "p.csv"), "--gamma", "0.25"],
+        "eval": [str(tmp_path / "r.json"), str(tmp_path / "l.csv")],
+        "bench": ["--sizes", "50", "--dims", "2", "--runs", "1"],
+    }[command]
+    r = run(command, *argv, "--out", "")
+    assert (r.returncode, r.stdout) == (1, "")
+    # refused before the work: no input is read, no file is written
+    assert r.stderr == "mebo: error: --out must name a file, got ''\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["bad_csv", "infeasible", "missing_points", "gen_invalid"])
 def test_failed_command_leaves_no_new_out_file(tmp_path, case):
     pts = tmp_path / "p.csv"
     if case == "bad_csv":
@@ -424,17 +466,19 @@ def test_failed_command_leaves_no_new_out_file(tmp_path, case):
         "bad_csv": (["fit", str(pts), "--gamma", "0.1"], 1),
         "infeasible": (["multifit", str(pts), "--fractions", "0.6,0.6", "--gamma", "0.2"], 1),
         "missing_points": (["fit", str(pts), "--gamma", "0.1"], 2),
+        "gen_invalid": (["gen", "highdim", "--gamma", "2"], 1),
     }[case]
-    out = tmp_path / "r.json"
+    out, labels = tmp_path / "r.json", tmp_path / "r.labels.json"
     r = run(*argv, "--out", str(out))
     assert r.returncode == code
     assert r.stderr.startswith("mebo: error: ")
-    assert not out.exists()
+    assert not out.exists() and not labels.exists()
     # a file that was there before the command keeps its bytes
     out.write_bytes(b"kept\n")
     r = run(*argv, "--out", str(out))
     assert r.returncode == code
     assert out.read_bytes() == b"kept\n"
+    assert not labels.exists()
 
 
 @pytest.mark.parametrize("flags", [["--runs", "0"], ["--warmup", "-1"]])

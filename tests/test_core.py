@@ -1,8 +1,10 @@
 """Types, validation, and derived-parameter arithmetic."""
 
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import re
 import tracemalloc
 from fractions import Fraction
@@ -16,6 +18,8 @@ from hypothesis.extra import numpy as hnp
 import mebo
 from mebo import (
     Ball,
+    Candidate,
+    ClassSpec,
     Dataset,
     DegenerateDatasetError,
     InvalidParamsError,
@@ -23,7 +27,9 @@ from mebo import (
     Params,
     approx_meb_center,
     derive_params,
+    f1,
     k_smallest_distance,
+    recognize,
     score_candidate,
     top_k_farthest,
 )
@@ -192,6 +198,48 @@ def test_dataset_immutable():
     with pytest.raises(AttributeError):
         ds.n = 5
     assert repr(ds) == "Dataset(n=3, d=2)"
+
+
+def _same(a, b) -> bool:
+    """a and b are of one type with equal fields, arrays bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, Dataset) or dataclasses.is_dataclass(a):
+        names = Dataset.__slots__ if isinstance(a, Dataset) else [
+            f.name for f in dataclasses.fields(a)]
+        return all(_same(getattr(a, k), getattr(b, k)) for k in names)
+    return a == b
+
+
+_ROUND_TRIPS = {"copy": copy.copy, "deepcopy": copy.deepcopy, **{
+    f"pickle{k}": lambda obj, k=k: pickle.loads(pickle.dumps(obj, protocol=k))
+    for k in range(2, 6)}}
+_RECORDS = ["Dataset", "Params", "DerivedParams", "Ball", "RecognitionResult",
+            "Candidate", "ClassSpec", "F1Result"]
+
+
+@pytest.mark.parametrize("trip", _ROUND_TRIPS)
+@pytest.mark.parametrize("kind", _RECORDS)
+def test_records_copy_and_pickle(kind, trip):
+    ds = Dataset(np.random.default_rng(0).normal(size=(60, 3)))
+    p = Params(gamma=0.2, forest_size=1, sequential_rounds=0, seed=0)
+    res = recognize(ds, p)
+    record = {
+        "Dataset": ds, "Params": p, "DerivedParams": derive_params(p, ds.n),
+        "Ball": res.ball, "RecognitionResult": res,
+        "Candidate": Candidate(center=np.array([0.5, -1.0]), path=(3, 7), score=2.25),
+        "ClassSpec": ClassSpec(fractions=(0.4, 0.4)), "F1Result": f1([0, 1], [1, 2], 4),
+    }[kind]
+    back = _ROUND_TRIPS[trip](record)
+    assert _same(record, back)
+    if kind == "Dataset":
+        # rebuilt by the constructor: read-only, and it fits as the original
+        assert not back.points.flags.writeable
+        again = recognize(back, p)
+        assert again.ball.center.tobytes() == res.ball.center.tobytes()
+        assert np.array_equal(again.inliers, res.inliers)
 
 
 @pytest.mark.parametrize("as_list", [False, True])

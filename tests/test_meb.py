@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import mebo.meb
 from mebo import EmptySubsetError, InvalidParamsError, approx_meb_center
 from meb_oracle import (
     InstanceTooLargeError,
@@ -141,7 +142,7 @@ def test_center_is_the_oracle_recurrence(pts, iters):
     assert not np.shares_memory(c, pts)
 
 
-def test_near_ties_go_as_in_the_oracle():
+def _near_tie_sets():
     # rows 1 and 2 lie at the same distance from row 0 up to rounding, so
     # which is farther depends on the order a row's squares are summed in:
     # in about 2 of 5 such sets np.vecdot's order picks the other row, and
@@ -150,12 +151,30 @@ def test_near_ties_go_as_in_the_oracle():
     for _ in range(200):
         d = int(rng.integers(2, 121))
         base, step = rng.normal(size=d), rng.normal(size=d)
-        pts = np.stack([base, base + step, base + step[rng.permutation(d)]])
+        yield np.stack([base, base + step, base + step[rng.permutation(d)]])
+
+
+NEAR_TIES = list(_near_tie_sets())
+
+
+def test_near_ties_go_as_in_the_oracle():
+    for pts in NEAR_TIES:
         it = meb_iterates(pts, 4)
         for iters in (2, 3, 4):
             want = it[iters - 1].tobytes()
             assert approx_meb_center(pts, iters).tobytes() == want
             assert approx_meb_center(np.asfortranarray(pts), iters).tobytes() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(point_sets(), st.sampled_from(NEAR_TIES)), st.integers(1, 5))
+def test_einsum_fallback_gives_the_same_bits(pts, iters):
+    # meb.py calls numpy's private c_einsum kernel, and np.einsum where
+    # numpy has none to import; both must sum each row in one order
+    want = approx_meb_center(pts, iters).tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mebo.meb, "_einsum", np.einsum)
+        assert approx_meb_center(pts, iters).tobytes() == want
 
 
 @settings(max_examples=100, deadline=None)

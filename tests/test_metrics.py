@@ -10,7 +10,6 @@ from mebo import InvalidParamsError, f1
 def test_perfect():
     r = f1(np.arange(5), np.arange(5), 10)
     assert r == (1.0, 1.0, 1.0)
-    assert not r.empty_prediction
 
 
 def test_symmetric_half_overlap():
@@ -33,9 +32,8 @@ def test_disjoint():
     assert r == (0.0, 0.0, 0.0)
 
 
-def test_empty_prediction_flag():
+def test_empty_prediction():
     r = f1([], [0, 1], 10)
-    assert r.empty_prediction
     assert r.precision == 0.0
     assert r.f1 == 0.0
     assert r.recall == 0.0
@@ -45,7 +43,6 @@ def test_empty_truth():
     r = f1([0], [], 10)
     assert r.recall == 0.0
     assert r.f1 == 0.0
-    assert not r.empty_prediction
 
 
 def test_duplicates_collapse():
