@@ -28,9 +28,10 @@ stacked and scored a chunk at a time, and a chunk holds at least d
 centers: one GEMM gives the chunk's expanded squared distances, the
 selection module's split_far turns each row into its 0/1 split at the k
 farthest points, and one GEMM of those splits with X (and one with the
-squared norms) gives every center's inlier sums.  So X is streamed
-twice per chunk, not twice per node; summing each center's far rows by
-a gather instead was 3.5-15 times slower per center than that GEMM.
+squared norms) gives every center's inlier sums s1 and q, so its score
+q/m - |s1/m|^2.  So X is streamed twice per chunk, not twice per node;
+summing each center's far rows by a gather instead was 3.5-15 times
+slower per center than that GEMM.
 The nodes of an internal layer draw their children as soon as their
 center's far set exists.  A far set is kept for the next layer only
 when that layer draws too, so a child with its parent's center is not
@@ -149,23 +150,22 @@ def _score_chunk(ctx: _FitContext, C: np.ndarray, k: int, m: int):
     (L x n, 0.0 at each center's k farthest points, written over ctx's
     distance block).
 
-    The score is the total variance of the m points nearest to a center
-    c, from their sums s1 = sum x and q = sum |x|^2:
-    (q - 2 c.s1)/m + |c|^2 - |s1/m - c|^2.  One GEMM gives the chunk's
-    distances and one GEMM of its splits with X gives the sums.  With
-    k == 0 (m = n) every center keeps every point, so every center gets
-    one score, X's total variance, taken in two passes as score_candidate
-    takes it.
+    The score is the total variance of a center's m nearest points from
+    their sums s1 = sum x and q = sum |x|^2 alone, q/m - |s1/m|^2 clamped
+    at 0.  To first order, with u = 2^-53, V the exact score and
+    M = |s1/m|^2 = q/m - V: q/m is off by (n + d)u q/m, M by
+    2(n - 1)u q/m + (d + 2)u M (Cauchy-Schwarz), the difference by uV and
+    score_candidate's two passes by (m + d + 2)u V, so the two differ by
+    at most (3n + d + 4) 2^-52 q/m.  With k == 0 every center gets X's
+    total variance, in score_candidate's two passes.
     """
     if k == 0:
         dev = ctx.X - ctx.X.mean(axis=0)
         return np.full(C.shape[0], float(np.einsum("ij,ij->i", dev, dev).mean())), None
     E = expanded_sq_dists(ctx.X, ctx.sqn, C, out=ctx.dists[:C.shape[0]])
     near = split_far(ctx.X, C, E, k)
-    s1, q = near @ ctx.X, near @ ctx.sqn
-    dd = s1 / m - C
-    scores = ((q - 2.0 * np.einsum("ij,ij->i", C, s1)) / m
-              + np.einsum("ij,ij->i", C, C) - np.einsum("ij,ij->i", dd, dd))
+    mean = (near @ ctx.X) / m
+    scores = (near @ ctx.sqn) / m - np.einsum("ij,ij->i", mean, mean)
     return np.where(scores > 0.0, scores, 0.0), near
 
 

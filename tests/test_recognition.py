@@ -316,6 +316,34 @@ def test_tree_scores_match_public_op():
         assert cand.score == pytest.approx(score, rel=1e-9, abs=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 200), st.integers(1, 12),
+       st.sampled_from(["normal", "integer"]),
+       st.one_of(st.tuples(st.just("shift"), st.floats(-1e8, 1e8)),
+                 st.tuples(st.just("scale"), st.integers(-500, 400))))
+def test_in_tree_score_within_its_rounding_bound(seed, n, d, kind, move):
+    # the bound _score_chunk's docstring derives, for every center of a
+    # chunk, against score_candidate's two-pass score of the same inliers;
+    # integer data and centers make distances tie
+    rng = np.random.default_rng(seed)
+    X = (rng.normal(size=(n, d)) if kind == "normal"
+         else rng.integers(-3, 4, size=(n, d)).astype(float))
+    how, by = move
+    ds = Dataset(X + by if how == "shift" else X * 2.0**by)
+    ctx = mebo.recognition._FitContext(ds)
+    L = ctx.dists.shape[0]
+    C = (X[rng.integers(0, n, size=L)] + rng.normal(size=(L, d)) if kind == "normal"
+         else rng.integers(-3, 4, size=(L, d)).astype(float))
+    C = C + by if how == "shift" else C * 2.0**by
+    m = int(rng.integers(1, n + 1))
+    scores, _ = mebo.recognition._score_chunk(ctx, C, n - m, m)
+    X = ds.points
+    for c, score in zip(C, scores):
+        ref, inliers = score_candidate(ds, c, m)
+        q = float(np.einsum("ij,ij->", X[inliers], X[inliers]))
+        assert abs(score - ref) <= (3 * n + d + 4) * 2.0**-52 * (q / m)
+
+
 def test_equal_centers_share_one_score():
     ds, _ = gen_highdim(1000, 20, 0.1, 0)
     cands = boost_forest(ds, Params(gamma=0.1, seed=0, forest_size=2))
