@@ -40,18 +40,20 @@ its nodes draw.
 A node's split is the one top_k_farthest makes, by construction: both
 go through split_far, which places the few points that rounding of the
 expanded distance could move across the pivot by their direct distance
-and the tie rule (lower index enters the far set).  A child is drawn by
-its index into its parent's far set less the path, found by binary
-search, so no pool of candidates is built per node.  Each node's
-children are drawn from its own stream and noted by its row; the next
-layer's paths are then assembled once, in row order, each parent's path
+and the tie rule (lower index enters the far set).  Before a layer is
+scored, each node draws s + depth distinct positions into its far set
+(all k of them when k is smaller); its children are the first s points
+at those positions that are not on its path, so no pool of candidates
+is built per node.  The children are noted by row; the next layer's
+paths are then assembled once, in row order, each parent's path
 repeated once per child with the children as the last column.
 
-Randomness: every node owns a stream keyed by (tree id, shifted path),
-spawned from the user seed, so results depend on the input and the seed
-only, and not on the order in which nodes are scored.  Growth is
-breadth first.  numpy's BLAS is the only parallel layer (size it with
-e.g. OPENBLAS_NUM_THREADS).
+Randomness: each tree owns one stream, keyed by its tree id and spawned
+from the user seed, and a layer draws from it row by row, in row order.
+So results depend on the input and the seed only, and not on the order
+in which centers are scored, the far sets held or the chunking.  Growth
+is breadth first.  numpy's BLAS is the only parallel layer (size it
+with e.g. OPENBLAS_NUM_THREADS).
 """
 
 from __future__ import annotations
@@ -87,29 +89,21 @@ __all__ = [
     "recognize",
 ]
 
-# stream id for root selection; node streams start with a small tree id
+# stream key for root selection; a tree's stream key is its tree id,
+# which stays far below it
 _DRIVER_KEY = 0xFFFFFFFF
 
 
-def make_node_rng(seed: int, rng_stream: tuple) -> np.random.Generator:
-    """The random stream owned by a node, derived from the run seed."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=rng_stream)
-    return np.random.default_rng(ss)
-
-
-def node_stream_key(tree_id: int, path) -> tuple:
-    """Stream identity for a node: tree id plus the path shifted by one.
-
-    The shift keeps index 0 distinct from the reserved driver stream and
-    from tree ids themselves.
-    """
-    return (tree_id, *[i + 1 for i in np.asarray(path).tolist()])
+def make_node_rng(seed: int, key: tuple) -> np.random.Generator:
+    """The random stream for a key, (tree id,) or (_DRIVER_KEY,),
+    derived from the run seed.  The name dates from when every node had
+    a stream of its own; perfbench/hooks.py counts and times its calls."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 def _random_roots(seed: int, n: int, size: int) -> np.ndarray:
     """size distinct dataset rows drawn from the root-selection stream."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(_DRIVER_KEY,))
-    return np.random.default_rng(ss).choice(n, size=size, replace=False)
+    return make_node_rng(seed, (_DRIVER_KEY,)).choice(n, size=size, replace=False)
 
 
 # A chunk of centers is scored in one distance block.  Its two GEMMs
@@ -189,48 +183,38 @@ def _path_centers(X: np.ndarray, paths: np.ndarray, iters: int,
     return C
 
 
-def _draw_children(seed: int, tree_id: int, far: np.ndarray, path: np.ndarray,
+def _draw_children(far: np.ndarray, path: np.ndarray, picks: np.ndarray,
                    s: int) -> np.ndarray:
-    """Up to s distinct points of the far set that are not on the path,
-    drawn from the node's own stream; empty when none is left.
+    """The first s points of far at positions picks that are not on the
+    path; empty when none is left.
 
-    far is nonempty and ascending.  The draw is the one
-    rng.choice(far[~np.isin(far, path)], take, replace=False) makes,
-    without building that pool: the at most len(path) path points in far
-    are found by binary search, and an index j into the pool is index
-    j + r into far, r the number of those points at or before it.
+    picks are distinct positions into far, drawn uniformly and in order,
+    s + len(path) of them or all of far.  So the result is a uniform
+    s-subset of far less the path, or all of it when fewer are left.
     """
-    on = far.searchsorted(path)
-    on = on[far.take(on, mode="clip") == path]
-    size = far.shape[0] - on.shape[0]
-    take = min(s, size)
-    if take == 0:
-        return np.empty(0, dtype=np.int64)
-    j = make_node_rng(seed, node_stream_key(tree_id, path)).choice(size, take, replace=False)
-    if on.shape[0]:
-        on.sort()
-        j += (on - np.arange(on.shape[0])).searchsorted(j, side="right")
-    return far[j]
+    kids = far[picks]
+    return kids[(kids[:, None] != path).all(axis=1)][:s]
 
 
 def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, point: np.ndarray,
-          tree_id: int):
+          rng: np.random.Generator):
     """Grow one tree breadth first, yielding each layer as (paths,
     centers): one row per node, in layer order.
 
-    root is the root's row number (a dataset row, or >= n for a virtual
-    root), which keys the streams and leads the paths; point is the
-    root itself, which leads every path's points in the ball
-    computation.  Each layer keeps one table, from center bytes to the
+    root is the root's row number (a dataset row, or n for a virtual
+    root), which leads the paths; point is the root itself, which leads
+    every path's points in the ball computation; rng is the tree's
+    stream.  Each layer keeps one table, from center bytes to the
     ascending rows with that center; the centers scored and the draws
     read it.  A layer that does not draw scores the centers the fit has
     not scored yet; a layer that draws scores every center whose far set
     the previous layer did not hold.  A center's first score enters
-    ctx.scores, and ctx.best with it.  Each node's children are drawn
-    from its own stream, from its center's far set less its own path
-    points, as soon as that far set exists: first from the previous
-    layer's far sets, which are then let go, then from each chunk's.  A
-    far set is held for the next layer only when that layer draws too.
+    ctx.scores, and ctx.best with it.  A layer that draws first takes
+    every row's positions from rng, in row order, then gives each node
+    its children from its center's far set as soon as that far set
+    exists: first from the previous layer's far sets, which are then let
+    go, then from each chunk's.  A far set is held for the next layer
+    only when that layer draws too.
     """
     X, iters, k = ctx.X, p.meb_iter_count, dp.k
     step = ctx.dists.shape[0]
@@ -243,11 +227,14 @@ def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, point: np.n
         for i, c in enumerate(C):
             rows.setdefault(c.tobytes(), []).append(i)
         kids = {}  # row -> its children
+        if internal:  # s + depth positions hold s that are off the path
+            t = min(k, dp.s + depth)
+            picks = np.array([rng.choice(k, t, replace=False) for _ in range(len(C))])
 
         def draw(key, far):
             for i in rows[key]:
                 # paths never repeat a point
-                kids[i] = _draw_children(p.seed, tree_id, far, paths[i], dp.s)
+                kids[i] = _draw_children(far, paths[i], picks[i], dp.s)
 
         for key in rows:  # held is empty unless this layer draws
             if key in held:
@@ -271,8 +258,8 @@ def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, point: np.n
         if not internal:
             break
         # the next layer is each row's path extended by one child, in row
-        # order; each node draws from its own stream, so the order in
-        # which rows drew changes nothing
+        # order; the positions were drawn in row order, so the order in
+        # which rows got their children changes nothing
         kids = [kids[i] for i in range(len(C))]
         sizes = [c.shape[0] for c in kids]
         if not any(sizes):
@@ -288,15 +275,16 @@ def _drive(ds: Dataset, p: Params, dp: DerivedParams, roots, rounds: int,
 
     When out is a list, every candidate is appended to it in order, with
     its center's score from the memo.  Tree ids count up from 0 over the
-    roots and then the rounds.  Round j's virtual root is row n + j, a
-    number that keys the random streams of that round's nodes.
+    roots and then the rounds, and key each tree's random stream.  A
+    round's virtual root is row n, which no far set or reported path
+    holds.
     """
     ctx = _FitContext(ds)
     count = 0
     for t in range(len(roots) + rounds):
-        root = int(roots[t]) if t < len(roots) else ds.n + t - len(roots)
+        root = int(roots[t]) if t < len(roots) else ds.n
         point = ds.points[root] if root < ds.n else ctx.best
-        for paths, C in _grow(ctx, p, dp, root, point, t):
+        for paths, C in _grow(ctx, p, dp, root, point, make_node_rng(p.seed, (t,))):
             count += len(C)
             if out is not None:
                 out.extend(Candidate(center=c, path=tuple(int(v) for v in path if v < ds.n),

@@ -22,6 +22,7 @@ from mebo import (
     score_candidate,
     top_k_farthest,
 )
+import mebo.recognition
 from mebo.recognition import make_node_rng
 from mebo.synth import gen_highdim
 from meb_oracle import exact_meb_oracle
@@ -55,14 +56,39 @@ def test_far_set_sampling_hits_planted_inliers():
     topk, _ = top_k_farthest(ds, np.zeros(3), dp.k)
     n_in = int((topk < 180).sum())
     assert n_in == dp.k - 20  # 3 inlier slots out of 23
-    node = TreeNode(path=(0,), depth=1, center=np.zeros(3), rng_stream=(0, 1))
+    node = TreeNode(path=(0,), depth=1, center=np.zeros(3))
     hits = 0
     for t in range(TRIALS):
-        kids = expand_node(ds, node, dp, make_node_rng(t, (0, 1)))
+        kids = expand_node(ds, node, dp, make_node_rng(t, (0,)))
         assert len(kids) == dp.s
         hits += any(k.path[-1] < 180 for k in kids)
     bound = 1.0 - p.mu / dp.h  # per-node hit probability the math promises
-    assert hits / TRIALS >= bound - slack(bound)  # measured 0.865 vs 0.686
+    assert hits / TRIALS >= bound - slack(bound)  # measured 0.905 vs 0.686
+
+
+def test_child_draw_is_uniform_over_the_pool():
+    # a far set of 12 rows holding three of the node's path points (the
+    # fourth, a virtual root, lies outside it): over many tree streams,
+    # each of the 9 pool rows is drawn at rate s/9 and no path point ever
+    trials, s = 2000, 4
+    far = np.arange(10, 130, 10, dtype=np.int64)
+    path = np.array([200, 30, 80, 120], dtype=np.int64)
+    pool = np.setdiff1d(far, path)
+    counts = dict.fromkeys(far.tolist(), 0)
+    for seed in range(trials):
+        rng = make_node_rng(seed, (seed % 7,))
+        picks = rng.choice(far.shape[0], min(far.shape[0], s + path.shape[0]), replace=False)
+        kids = mebo.recognition._draw_children(far, path, picks, s)
+        assert kids.shape == (s,) and np.unique(kids).shape == (s,)
+        for kid in kids.tolist():
+            counts[kid] += 1
+    rate = s / pool.shape[0]
+    for row in far.tolist():
+        if row in path:
+            assert counts[row] == 0
+        else:
+            # measured at most 2.03 standard errors off
+            assert abs(counts[row] / trials - rate) <= slack(rate, trials)
 
 
 def test_full_depth_inlier_path_survives():
