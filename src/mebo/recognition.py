@@ -32,11 +32,11 @@ squared norms) gives every center's inlier sums s1 and q, so its score
 q/m - |s1/m|^2.  So X is streamed twice per chunk, not twice per node;
 summing each center's far rows by a gather instead was 3.5-15 times
 slower per center than that GEMM.
-The nodes of an internal layer draw their children as soon as their
-center's far set exists.  A far set is kept for the next layer only
-when that layer draws too, so a child with its parent's center is not
-split again, and a far set of the last internal layer lives only while
-its nodes draw.
+An internal layer splits each of its distinct centers, a child's
+center equal to its parent's too, and the nodes with a center draw
+their children from its far set in the chunk that made it, so a far set
+lives only while they draw.  Holding the previous layer's far sets
+would save those repeats, 2-3% of the splits, for a second lifetime.
 A node's split is the one top_k_farthest makes, by construction: both
 go through split_far, which places the few points that rounding of the
 expanded distance could move across the pivot by their direct distance
@@ -51,9 +51,9 @@ repeated once per child with the children as the last column.
 Randomness: each tree owns one stream, keyed by its tree id and spawned
 from the user seed, and a layer draws from it row by row, in row order.
 So results depend on the input and the seed only, and not on the order
-in which centers are scored, the far sets held or the chunking.  Growth
-is breadth first.  numpy's BLAS is the only parallel layer (size it
-with e.g. OPENBLAS_NUM_THREADS).
+in which centers are scored or the chunking.  Growth is breadth first.
+numpy's BLAS is the only parallel layer (size it with e.g.
+OPENBLAS_NUM_THREADS).
 """
 
 from __future__ import annotations
@@ -183,17 +183,18 @@ def _path_centers(X: np.ndarray, paths: np.ndarray, iters: int,
     return C
 
 
-def _draw_children(far: np.ndarray, path: np.ndarray, picks: np.ndarray,
-                   s: int) -> np.ndarray:
-    """The first s points of far at positions picks that are not on the
-    path; empty when none is left.
+def _draw_children(far: np.ndarray, paths: np.ndarray, picks: np.ndarray,
+                   s: int) -> list:
+    """For each row R, the first s points of far at positions picks[R]
+    that are not on the path paths[R]; empty when none is left.
 
-    picks are distinct positions into far, drawn uniformly and in order,
-    s + len(path) of them or all of far.  So the result is a uniform
-    s-subset of far less the path, or all of it when fewer are left.
+    picks[R] are distinct positions into far, drawn uniformly and in
+    order, s + depth of them or all of far: so a row's children are a
+    uniform s-subset of far less its path, or all of it if fewer are left.
     """
     kids = far[picks]
-    return kids[(kids[:, None] != path).all(axis=1)][:s]
+    off = (kids[:, :, None] != paths[:, None, :]).all(axis=2)
+    return [row[keep][:s] for row, keep in zip(kids, off)]
 
 
 def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, point: np.ndarray,
@@ -206,41 +207,29 @@ def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, point: np.n
     every path's points in the ball computation; rng is the tree's
     stream.  Each layer keeps one table, from center bytes to the
     ascending rows with that center; the centers scored and the draws
-    read it.  A layer that does not draw scores the centers the fit has
-    not scored yet; a layer that draws scores every center whose far set
-    the previous layer did not hold.  A center's first score enters
-    ctx.scores, and ctx.best with it.  A layer that draws first takes
-    every row's positions from rng, in row order, then gives each node
-    its children from its center's far set as soon as that far set
-    exists: first from the previous layer's far sets, which are then let
-    go, then from each chunk's.  A far set is held for the next layer
-    only when that layer draws too.
+    read it.  An internal layer first takes every row's positions from
+    rng, in row order, then splits each of its distinct centers, and
+    the rows with a center draw their children from its far set in the
+    chunk that made it.  The leaf layer scores only the centers the fit
+    has not scored yet.  A center's first score enters ctx.scores, and
+    ctx.best with it.
     """
     X, iters, k = ctx.X, p.meb_iter_count, dp.k
     step = ctx.dists.shape[0]
     paths = np.array([[root]], dtype=np.int64)
-    held = {}  # far sets of the previous layer's centers, by center bytes
     for depth in range(1, dp.h + 1):
         internal = depth < dp.h and k > 0
         C = _path_centers(X, paths, iters, point)
         rows = {}  # center bytes -> the ascending rows with that center
         for i, c in enumerate(C):
             rows.setdefault(c.tobytes(), []).append(i)
-        kids = {}  # row -> its children
         if internal:  # s + depth positions hold s that are off the path
             t = min(k, dp.s + depth)
             picks = np.array([rng.choice(k, t, replace=False) for _ in range(len(C))])
-
-        def draw(key, far):
-            for i in rows[key]:
-                # paths never repeat a point
-                kids[i] = _draw_children(far, paths[i], picks[i], dp.s)
-
-        for key in rows:  # held is empty unless this layer draws
-            if key in held:
-                draw(key, held[key])
-        todo = [key for key in rows if key not in (held if internal else ctx.scores)]
-        held = {}  # this layer's far sets that the next layer draws from
+            kids = [None] * len(C)  # row -> its children
+            todo = list(rows)
+        else:
+            todo = [key for key in rows if key not in ctx.scores]
         for a in range(0, len(todo), step):
             chunk = todo[a:a + step]
             scores, near = _score_chunk(ctx, C[[rows[key][0] for key in chunk]], k, dp.m)
@@ -249,22 +238,22 @@ def _grow(ctx: _FitContext, p: Params, dp: DerivedParams, root: int, point: np.n
                     ctx.scores[key] = score = float(scores[j])
                     if score < ctx.best_score:
                         ctx.best, ctx.best_score = C[rows[key][0]], score
-                if internal:
+                if internal:  # paths never repeat a point
+                    R = rows[key]
                     far = np.flatnonzero(near[j] == 0.0)
-                    draw(key, far)
-                    if depth + 1 < dp.h:  # the next layer draws too
-                        held[key] = far
+                    for i, got in zip(R, _draw_children(far, paths[R], picks[R], dp.s)):
+                        kids[i] = got
         yield paths, C
         if not internal:
             break
         # the next layer is each row's path extended by one child, in row
         # order; the positions were drawn in row order, so the order in
         # which rows got their children changes nothing
-        kids = [kids[i] for i in range(len(C))]
         sizes = [c.shape[0] for c in kids]
         if not any(sizes):
             break
         paths = np.column_stack((np.repeat(paths, sizes, axis=0), np.concatenate(kids)))
+        del kids, picks  # let go before the next layer's centers
 
 
 def _drive(ds: Dataset, p: Params, dp: DerivedParams, roots, rounds: int,

@@ -8,35 +8,21 @@ tree-growth engine all split through it, for one center or for a
 block of L centers at a time.
 
 The direct form costs a subtraction per coordinate, so split_far first
-orders the points by the expanded form |x|^2 - 2 x.c, which takes one
-GEMM for a whole block of centers (expanded_sq_dists).  That block is
-one per-row constant, |c|^2, short of the squared distance; a constant
-orders no point before another, so no pass over the block adds it.  An
-introselect (np.partition) finds each row's pivot p, its k-th largest
-expanded value.  The expanded value plus |c|^2 differs from the direct
-one by rounding alone.  For d coordinates that error is at most
-a*(2|x - c|^2 + 3|c|^2), with a = (3d + 6) units in the last place,
-since |x|^2 <= 2|x - c|^2 + 2|c|^2.  So a point whose expanded value is
-more than 8a*(|p + |c|^2| + |c|^2) from p falls on the same side of the
-split under both forms.  Where every point left of the pivot lies below
-that band, the split at the pivot is thus the direct one: the points in
-the band above it are far under both forms.  Otherwise, almost never,
-the points inside the band are placed by their direct distance.  The
-split is thus the one the direct distances give, whatever the BLAS
-build, its thread count or the number of centers in a block, and
-however far the data lies from the origin within the limit a Dataset
-holds its points to.
-
-For a block, split_far partitions a copy of a few rows at a time and
-reads each row's largest value left of the pivot, which is the same
-whatever the order the partition leaves.  It then tests every row's
-band at once, splits every row at its pivot with one compare over the
-block, and splits again, from a copy of their distances, the rare rows
-with a point left of the pivot inside the band.  Two measured
-alternatives were slower: a pivot bracketed from a sample of each row
-(its boolean compress costs more than the partition it saves) and
-partitioning at (m - 1, m, m + 1), 4 times slower than partitioning at
-m and reading a max and a min.
+orders the points by the expanded form |x|^2 - 2 x.c + |c|^2, whose
+first two terms take one GEMM for a whole block of centers
+(expanded_sq_dists).  The two forms differ by rounding alone, and
+split_far bounds that difference: a point more than a band's width from
+a row's pivot falls on the same side under both forms, and where a near
+point lies inside the band, almost never, the band's points are placed
+by their direct distance.  The split is thus the one the direct
+distances give, whatever the BLAS build, its thread count or the number
+of centers in a block, and however far the data lies from the origin
+within the limit a Dataset holds its points to.  Measured alternatives
+that were slower or gained nothing: a pivot bracketed from a sample of
+each row (its boolean compress costs more than the partition it saves),
+partitioning at (m - 1, m, m + 1) (4 times slower than at m plus a max
+and a min), and an order-preserving int64 transform of the expanded
+values without the |c|^2 add.
 """
 
 from __future__ import annotations
@@ -55,12 +41,10 @@ def expanded_sq_dists(X: np.ndarray, sqn: np.ndarray, C: np.ndarray,
 
     C is an L x d block; the result is L x n, written into out when it
     is given.  sqn must be einsum("ij,ij->i", X, X); callers that score
-    many centers precompute it once.  Each row of the block lacks only
-    its center's constant |c|^2, which orders no point before another,
-    so the block gets no pass that adds it; split_far adds it to the
-    pivot alone.  The product is taken with -2C, so the block gets no
-    scaling pass either; -2 is a power of two, so that product is -2
-    times C X^T bit for bit.
+    many centers precompute it once.  split_far adds each row's |c|^2
+    in the scratch it partitions.  The product is taken with -2C, so
+    the block gets no scaling pass; -2 is a power of two, so that
+    product is -2 times C X^T bit for bit.
     """
     E = np.matmul(C * -2.0, X.T, out=out)
     E += sqn
@@ -74,9 +58,9 @@ def direct_sq_dists(X: np.ndarray, rows: np.ndarray, c: np.ndarray) -> np.ndarra
     return np.square(diff, out=diff).sum(axis=1)
 
 
-# split_far partitions copies of a block's rows this many bytes at a
-# time: one call per group of rows instead of per row, in a scratch that
-# stays small next to the block
+# split_far partitions a block's rows this many bytes at a time: one
+# call per group of rows instead of per row, in a scratch that stays
+# small next to the block
 _SCRATCH_BYTES = 1 << 18
 
 
@@ -89,35 +73,60 @@ def split_far(X: np.ndarray, C: np.ndarray, E: np.ndarray, k: int) -> np.ndarray
     k farthest.  X (a Dataset's points) and C (centers check_center
     passed, or MEB centers, which lie in X's convex hull) are within
     core.check_limit's bound: then |x|^2 and |c|^2 are at most float
-    max / 4n, so every entry of E, each pivot p, |c|^2 and the band's
-    width are at most float max / n, and finite.
+    max / 4n, so every value below is at most float max / n, and finite.
+
+    A scratch of a few rows at a time gets S = E + |c|^2, the expanded
+    squared distance, and its int64 view is partitioned: the bits of a
+    double >= 0 order as the double does, and integers compare faster.
+    S rounds at most a few units below zero, so that partition is the
+    doubles' unless the pivot p has its sign bit set, and such a row is
+    partitioned again as doubles.  The largest value left of p is the
+    same whatever order the partition leaves.
+
+    The bound, to first order in u = 2^-53, with D = |x - c|^2, N = |x|^2
+    and K = |c|^2, for sums of d terms in any order: |x|^2 is off by
+    d u N, the GEMM's x.c (times -2, exactly) by 2d u |x||c|, its add to
+    |x|^2 by u (N + 2|x||c|), K by d u K, the add of K by u D, and the
+    direct distance by (d + 2) u D.  As 2|x||c| <= N + K and
+    N <= 2D + 2K, S and the direct distance differ by at most
+    (5d + 6) u D + (6d + 3.5) u K.  a (2D + 3K) with a = (3d + 6) u still
+    covers that for every d, so a need not become (3d + 7) u: the add of
+    K takes one of the D term's spare units.  So a point whose S is more
+    than w = 8a (|p| + K) from p is on the same side of p under both
+    forms.  Where every point left of p lies below that band, the split
+    at p is the direct one (the band above p holds far points only), and
+    E is split at t = (p - K) - 4u (|p| + K) in one compare: E + K is
+    within u|S| of S and t within 2u (|p| + K) of its exact value, so a
+    far point (S >= p) has E >= p - K - u|p| > t, and a near point
+    (S < p - w, w >= 72u (|p| + K)) has E < p - K - w + 2u|p| < t.  The
+    other rows, rare, place the points of their band by direct distance.
     """
     L, n = E.shape
     m = n - k
+    cc = np.einsum("ij,ij->i", C, C)
     step = max(1, _SCRATCH_BYTES // (8 * n))
     scratch = np.empty((min(step, L), n))
     # each row's pivot p, and the largest value left of it once the row
-    # is partitioned at p
+    # is partitioned at p, both in squared distance
     p, left = np.empty(L), np.full(L, -np.inf)
     for a in range(0, L, step):
         part = scratch[:min(step, L - a)]
-        np.copyto(part, E[a:a + step])
-        part.partition(m, axis=1)
+        np.add(E[a:a + step], cc[a:a + step, None], out=part)
+        part.view(np.int64).partition(m, axis=1)
+        for r in np.flatnonzero(np.signbit(part[:, m])):
+            part[r].partition(m)
         p[a:a + step] = part[:, m]
         if m > 0:
             left[a:a + step] = part[:, :m].max(axis=1)
-    # the band's half width over |p + |c|^2| + |c|^2: 8a for a = (3d + 6)
-    # ulps, p + |c|^2 being the pivot's expanded squared distance
-    half = (12.0 * X.shape[1] + 24.0) * np.finfo(np.float64).eps
-    cc = np.einsum("ij,ij->i", C, C)
-    w = half * (np.abs(p + cc) + cc)
+    # the band's half width w over |p| + |c|^2: 8a for a = (3d + 6) u
+    eps = np.finfo(np.float64).eps
+    w = (12.0 * X.shape[1] + 24.0) * eps * (np.abs(p) + cc)
     lo, hi = p - w, p + w
-    # where no near point is in its band, the split is at the pivot (the
-    # band above it holds far points only); the other rows are split
-    # again from a copy of their distances
+    # where no near point is in its band, E is split at t; the other rows
+    # are split again from a copy of their squared distances
     rows = np.flatnonzero(left >= lo)
-    banded = E[rows]
-    np.less(E, p[:, None], out=E)
+    banded = E[rows] + cc[rows, None]
+    np.less(E, ((p - cc) - 2.0 * eps * (np.abs(p) + cc))[:, None], out=E)
     for i, e in zip(rows, banded):
         far = e > hi[i]
         band = np.flatnonzero(~((e < lo[i]) | far))

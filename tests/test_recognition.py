@@ -218,22 +218,29 @@ def test_benchmark_hooks_measure_every_layer_of_multifit(tmp_path):
 @settings(max_examples=300, deadline=None)
 @given(st.data(), st.integers(1, 60), st.integers(1, 15), st.integers(0, 2**64 - 1))
 def test_child_draw_is_the_pool_draw(data, n, s, seed):
-    # the first s far points at the drawn positions that are off the
-    # path, with path points inside and outside far; row n stands for a
-    # virtual root
+    # several rows of one layer share a far set, each with its own path
+    # and positions: each row's children are the first s far points at
+    # its drawn positions that are off its path, with path points inside
+    # and outside far; row n stands for a virtual root
     far = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))),
                    dtype=np.int64)
-    path = np.array(data.draw(st.lists(st.integers(0, n), min_size=1, max_size=6,
-                                       unique=True)), dtype=np.int64)
     k = far.shape[0]
-    picks = make_node_rng(seed, (0,)).choice(k, min(k, s + path.shape[0]), replace=False)
-    got = mebo.recognition._draw_children(far, path, picks, s)
-    want = [far[j] for j in picks if far[j] not in path][:s]
-    assert got.dtype == np.int64
-    assert got.tolist() == want
-    # a uniform s-subset of the pool, or all of it
-    pool = np.setdiff1d(far, path)
-    assert len(set(want)) == min(s, pool.shape[0]) and set(want) <= set(pool.tolist())
+    depth = data.draw(st.integers(1, min(6, n + 1)))
+    rows = data.draw(st.integers(1, 5))
+    paths = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, n), min_size=depth, max_size=depth, unique=True),
+        min_size=rows, max_size=rows)), dtype=np.int64)
+    rng = make_node_rng(seed, (0,))
+    picks = np.array([rng.choice(k, min(k, s + depth), replace=False) for _ in range(rows)])
+    got = mebo.recognition._draw_children(far, paths, picks, s)
+    assert len(got) == rows
+    for kids, path, pick in zip(got, paths, picks):
+        want = [far[j] for j in pick if far[j] not in path][:s]
+        assert kids.dtype == np.int64
+        assert kids.tolist() == want
+        # a uniform s-subset of the row's pool, or all of it
+        pool = np.setdiff1d(far, path)
+        assert len(set(want)) == min(s, pool.shape[0]) and set(want) <= set(pool.tolist())
 
 
 def drive(ds, p, dp, roots, rounds=0):
@@ -427,6 +434,35 @@ def test_chunk_size_changes_no_result(monkeypatch):
             assert a.score == pytest.approx(b.score, rel=1e-13, abs=0.0)
 
 
+def test_each_internal_layer_splits_each_of_its_centers(monkeypatch):
+    # a far set is used only in the chunk that made it: every internal
+    # layer sends each of its distinct centers to be split, those equal to
+    # a center of the layer above included, and the leaf layer sends only
+    # the centers no layer has scored yet
+    ds = planted(340, 60, 6, seed=3)
+    p = Params(gamma=0.15, epsilon=0.5, delta=0.5, seed=4)
+    dp = derive_params(p, ds.n)
+    sent, score_chunk = [], mebo.recognition._score_chunk
+
+    def counted(ctx, C, k, m):
+        sent.extend(c.tobytes() for c in C)
+        return score_chunk(ctx, C, k, m)
+
+    monkeypatch.setattr(mebo.recognition, "_score_chunk", counted)
+    cands = grow_tree(ds, p, 7)
+    want, seen, repeats = [], set(), 0
+    for depth in range(1, dp.h + 1):
+        layer = dict.fromkeys(c.center.tobytes() for c in cands if len(c.path) == depth)
+        if depth < dp.h:
+            want += layer
+            repeats += len(seen.intersection(layer))
+        else:
+            want += [key for key in layer if key not in seen]
+        seen.update(layer)
+    assert dp.h == 5 and repeats > 0
+    assert sent == want
+
+
 @pytest.mark.parametrize("n, d", [(1, 1), (10, 3), (10000, 2), (4500, 60), (20000, 100),
                                   (40000, 50), (5000, 200), (400000, 1)])
 def test_fit_block_within_memory_bound(n, d):
@@ -438,10 +474,10 @@ def test_fit_block_within_memory_bound(n, d):
 
 
 def test_fit_holds_the_block_and_few_far_sets():
-    # besides the data, a fit holds its distance block and the far sets of
-    # the layers whose children draw again: at most s + 1 of them per tree,
-    # plus the one its rows are drawing from; 1 MB covers the center keys,
-    # the paths, the centers and split_far's scratch
+    # besides the data, a fit holds its distance block and, while the rows
+    # with one center draw, that center's far set; s + 2 far sets and 1 MB
+    # cover it, the children, the center keys, the paths, the centers and
+    # split_far's scratch
     ds, _ = gen_toy_2d(0)
     p = Params(gamma=0.4, seed=0)
     dp = derive_params(p, ds.n)
@@ -701,7 +737,7 @@ _CANDIDATE_PINS = {
 def test_every_candidate_pinned(epsilon, grow):
     # every path and center bit for bit, in order, and the scores to
     # the last bits that SIMD reductions may move; epsilon 0.5 grows
-    # five layers, so far sets are held across two of them
+    # five layers, four of them drawing children
     ds = planted(340, 60, 6, seed=3)
     p = Params(gamma=0.15, epsilon=epsilon, delta=0.5, seed=4)
     count, digest, total, weighted, least = _CANDIDATE_PINS[epsilon, grow]

@@ -20,6 +20,7 @@ from mebo import (
     score_candidate,
     top_k_farthest,
 )
+from mebo.selection import expanded_sq_dists, split_far
 
 
 def sort_oracle(X, c, k):
@@ -94,6 +95,33 @@ def test_matches_sort_oracle_where_the_center_norm_dominates(scale):
             oidx, opivot = sort_oracle(X, c, k)
             assert np.array_equal(idx, oidx)
             assert pivot == opivot
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 40), st.lists(st.floats(-12, 3), max_size=6),
+       st.floats(-3, 6), st.integers(0, 2**32 - 1), st.data())
+def test_split_matches_sort_where_distances_round_below_zero(d, copies, offsets, scale,
+                                                             seed, data):
+    # at least n - k + 1 rows equal the center, and their expanded squared
+    # distances can round a few units below zero: then the pivot's sign bit
+    # is set, its bits no longer order as the double does, and the row is
+    # partitioned as doubles; a few rows lie 1e-12 to 1e3 away
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=d) * 10.0 ** scale
+    away = rng.normal(size=(len(offsets), d))
+    away *= (10.0 ** np.array(offsets) / np.linalg.norm(away, axis=1))[:, None]
+    n = copies + len(offsets)
+    X = np.vstack([np.tile(c, (copies, 1)), c + away])[rng.permutation(n)]
+    k = data.draw(st.integers(n - copies + 1, n))
+    idx, pivot = top_k_farthest(Dataset(X), c, k)
+    oidx, opivot = sort_oracle(X, c, k)
+    assert np.array_equal(idx, oidx)
+    assert pivot == opivot
+    # a block of centers: the center twice, with a data row between
+    C = np.vstack([c, X[0], c])
+    E = expanded_sq_dists(X, np.einsum("ij,ij->i", X, X), C)
+    for row, center in zip(split_far(X, C, E, k), C):
+        assert np.array_equal(np.flatnonzero(row == 0.0), sort_oracle(X, center, k)[0])
 
 
 def test_tie_rule_lowest_index_first():

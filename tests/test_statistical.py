@@ -78,7 +78,7 @@ def test_child_draw_is_uniform_over_the_pool():
     for seed in range(trials):
         rng = make_node_rng(seed, (seed % 7,))
         picks = rng.choice(far.shape[0], min(far.shape[0], s + path.shape[0]), replace=False)
-        kids = mebo.recognition._draw_children(far, path, picks, s)
+        [kids] = mebo.recognition._draw_children(far, path[None], picks[None], s)
         assert kids.shape == (s,) and np.unique(kids).shape == (s,)
         for kid in kids.tolist():
             counts[kid] += 1
